@@ -18,8 +18,8 @@ tier2: lint
 
 # Focused race gate over the concurrency-bearing packages: the parallel
 # DRC/verify engines, tile routing and layer-reassignment pass of the
-# detail stage, the global router's speculative multi-net stage and
-# ordering pool, the ordering-strategy portfolio racer, the pipeline
+# detail stage, the global router's ordering-seed pool, the
+# ordering-strategy portfolio racer, the pipeline
 # facade's Parallelism propagation (including the via-accounting
 # differential across Parallelism 1/2/4/8) and the serving layer. Faster
 # than a full tier2 run.
@@ -29,9 +29,8 @@ race-gate: lint lint-escape
 
 # Domain-specific static analysis (internal/lint): determinism, map
 # iteration, float equality, sanctioned concurrency, the //rdl:noalloc
-# hot-path contract — propagated interprocedurally through the module
-# call graph — and the speculative read-set pairing rule in
-# internal/global. Exit 1 on any finding; see doc/LINT.md.
+# hot-path contract, propagated interprocedurally through the module
+# call graph. Exit 1 on any finding; see doc/LINT.md.
 lint:
 	$(GO) run ./cmd/rdllint
 
@@ -68,9 +67,9 @@ bench-drc:
 # plus the K=3 ordering-portfolio race end to end. Writes ns/op, allocs/op
 # and B/op to BENCH_route.json — the allocation counts are the
 # zero-allocation A* regression gate. Global entries also carry
-# speculation_hit_rate and speedup_vs_serial (default Parallelism vs the
-# serial reference; both produce byte-identical results; the speedup is
-# null with a note on 1-CPU hosts). Portfolio entries carry per-strategy
+# speedup_vs_serial (default Parallelism vs the serial reference; both
+# produce byte-identical results; the speedup is null with a note on
+# 1-CPU hosts). Portfolio entries carry per-strategy
 # scores, the winner and beats_rudy.
 bench-route:
 	BENCH_ROUTE_OUT=$(CURDIR)/BENCH_route.json \

@@ -184,14 +184,13 @@ func measureLoop(b *testing.B, name, stage, cse string, fn func()) {
 // BenchmarkGlobalRoute measures the global-routing stage alone: the graph is
 // prebuilt, each iteration runs a fresh router over it (RUDY ordering,
 // crossing-aware A*, rip-up rounds, diagonal refinement). Each case runs
-// twice — at the default Parallelism (GOMAXPROCS, capped at 8) and at the
-// serial reference — and the parallel entry additionally records the
-// speculation hit rate; TestMain derives speedup_vs_serial from the pair.
+// twice — at the default Parallelism (GOMAXPROCS, capped at 8), which sizes
+// the ordering-seed pool, and at the serial reference; TestMain derives
+// speedup_vs_serial from the pair.
 func BenchmarkGlobalRoute(b *testing.B) {
 	for _, name := range design.DenseNames() {
 		b.Run(name, func(b *testing.B) {
 			g := builtCase(b, name)
-			var last *global.Result
 			measureLoop(b, "global/"+name, "global", name, func() {
 				r := global.New(g, global.Options{})
 				res, err := r.Run(context.Background())
@@ -201,15 +200,9 @@ func BenchmarkGlobalRoute(b *testing.B) {
 				if res.Routability() == 0 {
 					b.Fatal("routed nothing")
 				}
-				last = res
 			})
-			rate := 0.0
-			if t := last.SpeculationHits + last.SpeculationMisses; t > 0 {
-				rate = float64(last.SpeculationHits) / float64(t)
-			}
 			amendRouteBench("global/"+name, benchjson.Entry{
-				"speculation_hit_rate": rate,
-				"parallelism":          pool.Default(0),
+				"parallelism": pool.Default(0),
 			})
 		})
 		b.Run(name+"/serial", func(b *testing.B) {

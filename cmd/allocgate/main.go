@@ -27,10 +27,10 @@ import (
 )
 
 // budgets pins the gated rows. Global budgets cover the serial reference
-// rows (the parallel rows' allocation counts include scheduling-dependent
-// speculation, which is tracked but not gated); detail rows run the default
-// pool and are gated directly since tile scratches allocate identically at
-// every pool size.
+// rows (the parallel rows add the ordering-seed pool's scheduling, which
+// is tracked but not gated); detail rows run the default pool and are
+// gated directly since tile scratches allocate identically at every pool
+// size.
 var budgets = []struct {
 	name string
 	max  float64

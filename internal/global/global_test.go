@@ -3,6 +3,8 @@ package global
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"rdlroute/internal/design"
@@ -67,28 +69,32 @@ func TestGuidesDoNotCross(t *testing.T) {
 	}
 	_ = res
 	// For every tile, all pairs of committed passages must not interleave.
-	for key, ps := range r.passages {
-		tile := r.G.TileOf(key.layer, key.tri)
-		for i := 0; i < len(ps); i++ {
-			e1a, ok1 := r.resolve(r.scr, tile, ps[i].e1, ps[i].net)
-			e1b, ok2 := r.resolve(r.scr, tile, ps[i].e2, ps[i].net)
-			if !ok1 || !ok2 {
-				t.Fatalf("tile %v: passage %d unresolvable", key, i)
-			}
-			a1, a2 := r.coord(r.scr, tile, e1a), r.coord(r.scr, tile, e1b)
-			for j := i + 1; j < len(ps); j++ {
-				if ps[j].net == ps[i].net {
-					continue // same-net crossings are legal (no spacing rule)
+	for li := range r.G.Layers {
+		for tri := range r.G.Layers[li].Mesh.Tris {
+			key := tileKey{li, tri}
+			tile := r.G.TileOf(li, tri)
+			ps := r.passages[r.tileIndex(key)]
+			for i := 0; i < len(ps); i++ {
+				e1a, ok1 := r.resolve(tile, ps[i].e1, ps[i].net)
+				e1b, ok2 := r.resolve(tile, ps[i].e2, ps[i].net)
+				if !ok1 || !ok2 {
+					t.Fatalf("tile %v: passage %d unresolvable", key, i)
 				}
-				e2a, ok3 := r.resolve(r.scr, tile, ps[j].e1, ps[j].net)
-				e2b, ok4 := r.resolve(r.scr, tile, ps[j].e2, ps[j].net)
-				if !ok3 || !ok4 {
-					t.Fatalf("tile %v: passage %d unresolvable", key, j)
-				}
-				b1, b2 := r.coord(r.scr, tile, e2a), r.coord(r.scr, tile, e2b)
-				if chordsCross(a1, a2, b1, b2) {
-					t.Fatalf("tile %v: nets %d and %d cross (coords %v-%v vs %v-%v)",
-						key, ps[i].net, ps[j].net, a1, a2, b1, b2)
+				a1, a2 := r.coord(tile, e1a), r.coord(tile, e1b)
+				for j := i + 1; j < len(ps); j++ {
+					if ps[j].net == ps[i].net {
+						continue // same-net crossings are legal (no spacing rule)
+					}
+					e2a, ok3 := r.resolve(tile, ps[j].e1, ps[j].net)
+					e2b, ok4 := r.resolve(tile, ps[j].e2, ps[j].net)
+					if !ok3 || !ok4 {
+						t.Fatalf("tile %v: passage %d unresolvable", key, j)
+					}
+					b1, b2 := r.coord(tile, e2a), r.coord(tile, e2b)
+					if chordsCross(a1, a2, b1, b2) {
+						t.Fatalf("tile %v: nets %d and %d cross (coords %v-%v vs %v-%v)",
+							key, ps[i].net, ps[j].net, a1, a2, b1, b2)
+					}
 				}
 			}
 		}
@@ -175,9 +181,9 @@ func TestRipUpRestoresState(t *testing.T) {
 			t.Fatalf("edge node %d sequence %v after full rip-up", id, s)
 		}
 	}
-	for key, ps := range r.passages {
+	for ti, ps := range r.passages {
 		if len(ps) != 0 {
-			t.Fatalf("tile %v passages %v after full rip-up", key, ps)
+			t.Fatalf("tile %d passages %v after full rip-up", ti, ps)
 		}
 	}
 }
@@ -293,5 +299,123 @@ func TestResultRoutabilityEmpty(t *testing.T) {
 	r := &Result{}
 	if r.Routability() != 1 {
 		t.Error("empty result should report full routability")
+	}
+}
+
+// fingerprintGlobal renders a global-routing result — every guide's node
+// and link path, the failure list, and the round/rip-up/expansion ledger —
+// into one string, so two results compare byte-for-byte.
+func fingerprintGlobal(res *Result) string {
+	var b strings.Builder
+	for net, g := range res.Guides {
+		if g == nil {
+			fmt.Fprintf(&b, "%d:nil\n", net)
+			continue
+		}
+		fmt.Fprintf(&b, "%d:%v|%v\n", net, g.Nodes, g.Links)
+	}
+	fmt.Fprintf(&b, "failed:%v rounds:%d ripups:%d kept:%d diag:%d exp:%d\n",
+		res.FailedNets, res.OrderRounds, res.RipUps, res.KeptGuides,
+		res.DiagonalReductions, res.Expansions)
+	return b.String()
+}
+
+// compareGlobalParallelism routes the design at Parallelism 1, 2, 4 and 8
+// and demands byte-identical results: the ordering seeds run on the worker
+// pool, so the pool size must not leak into the order, the guides, the
+// failure bookkeeping or the expansion counters.
+func compareGlobalParallelism(t *testing.T, d *design.Design) {
+	t.Helper()
+	plan, err := viaplan.Build(d, viaplan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rgraph.Build(d, plan, rgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	serialRouter := New(g, Options{Parallelism: 1})
+	serial, err := serialRouter.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fingerprintGlobal(serial)
+
+	for _, workers := range []int{2, 4, 8} {
+		r := New(g, Options{Parallelism: workers})
+		res, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatalf("parallelism=%d: %v", workers, err)
+		}
+		if got := fingerprintGlobal(res); got != ref {
+			t.Fatalf("parallelism=%d: result not byte-identical to serial\nserial:\n%s\nparallel:\n%s",
+				workers, ref, got)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatalf("parallelism=%d: %v", workers, err)
+		}
+	}
+}
+
+func TestGlobalParallelismMatchesSerialDense(t *testing.T) {
+	for _, name := range design.DenseNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			d, err := design.GenerateDense(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGlobalParallelism(t, d)
+		})
+	}
+}
+
+func TestGlobalParallelismMatchesSerialRandom(t *testing.T) {
+	for _, spec := range []design.RandomSpec{
+		{Seed: 1},
+		{Seed: 7, Chips: 4, NetsPerChannel: 20},
+		{Seed: 42, Chips: 5, NetsPerChannel: 16, WireLayers: 3},
+	} {
+		spec := spec
+		t.Run(fmt.Sprintf("seed%d", spec.Seed), func(t *testing.T) {
+			d, err := design.GenerateRandom(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareGlobalParallelism(t, d)
+		})
+	}
+}
+
+// TestGlobalParallelismMergedDense routes the congested merged design that
+// drives the incremental rip-up tests: rounds with failures, blocked-set
+// folding and incremental rip-up must all stay byte-identical across pool
+// sizes.
+func TestGlobalParallelismMergedDense(t *testing.T) {
+	d := mergeSideBySide(t, "dense2", "dense1", 400)
+	plan, err := viaplan.Build(d, viaplan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rgraph.Build(d, plan, rgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialRouter := New(g, Options{Parallelism: 1, EdgeUsePerNet: 2})
+	serial, err := serialRouter.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := fingerprintGlobal(serial)
+	for _, workers := range []int{2, 4, 8} {
+		r := New(g, Options{Parallelism: workers, EdgeUsePerNet: 2})
+		res, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatalf("parallelism=%d: %v", workers, err)
+		}
+		if got := fingerprintGlobal(res); got != ref {
+			t.Fatalf("parallelism=%d: result not byte-identical to serial", workers)
+		}
 	}
 }

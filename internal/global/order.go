@@ -61,9 +61,8 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 	}
 	pool.Run(units, r.Opt.parallelism())
 
-	// RUDY accumulation. The per-net tile footprints also persist on the
-	// router (predTiles): the speculative round driver partitions nets into
-	// interference groups by which standalone seed paths share tiles.
+	// RUDY accumulation. The per-net tile footprints persist on the router
+	// (predTiles) for the congested-tile counts and conflictPairs.
 	density := make(map[tileKey]float64)
 	area := make(map[tileKey]float64)
 	pitch := r.G.Design.Rules.Pitch()

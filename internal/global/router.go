@@ -68,15 +68,14 @@ type Options struct {
 	// AfterEachNet, when non-nil, runs after every successfully committed
 	// net with that net's ID. The AARF* baseline re-triangulates every
 	// layer here, paying the per-net mesh-rebuild cost the original
-	// algorithm incurs. Setting it forces the serial routing path: the
-	// callback may mutate state the speculative searches read.
+	// algorithm incurs. It runs on the routing goroutine between commits,
+	// so it may read the router's committed state.
 	AfterEachNet func(net int)
-	// Parallelism is the worker-pool size shared by the ordering seeds and
-	// the speculative multi-net search stage. Zero selects GOMAXPROCS
-	// capped at 8 (pool.Default); 1 selects the serial reference path.
-	// Output is byte-identical for every value: speculative results only
-	// commit after read-set validation proves the serial search would have
-	// produced them.
+	// Parallelism sizes the worker pool of the standalone ordering-seed
+	// routes, the only independent searches of this stage; the A* round
+	// loop itself is serial, because each net's search depends on every
+	// earlier commit. Zero selects GOMAXPROCS capped at 8 (pool.Default).
+	// Output is byte-identical for every value.
 	Parallelism int
 	// Rec receives stage spans, counters and the per-net progress stream.
 	// Nil selects the no-op recorder. Cancellation is the context passed
@@ -121,22 +120,9 @@ type Result struct {
 	// DiagonalReductions counts edge-node capacity reductions performed by
 	// diagonal utility refinement.
 	DiagonalReductions int
-	// Expansions counts total A* state expansions credited to the
-	// committed result — identical to the serial count for any
-	// Parallelism, because speculative searches only contribute here when
-	// validation proves them byte-identical to the serial search.
+	// Expansions counts total A* state expansions across all rounds and
+	// diagonal-refinement reroutes (the standalone ordering seeds excluded).
 	Expansions int
-	// SpeculationHits counts speculative searches whose read set survived
-	// validation at their net's canonical turn (committed or accepted as
-	// failures without re-searching).
-	SpeculationHits int
-	// SpeculationMisses counts speculative searches discarded because an
-	// earlier commit touched a resource they read; each miss was
-	// re-searched serially.
-	SpeculationMisses int
-	// WastedExpansions counts A* expansions spent on discarded speculative
-	// searches. Not included in Expansions.
-	WastedExpansions int
 }
 
 // Routability returns the fraction of nets routed, in [0, 1].
@@ -161,14 +147,16 @@ type Router struct {
 
 	nodeUse []int
 	linkUse []int
-	// capOverride maps edge nodes whose capacity was reduced by diagonal
-	// refinement to their new capacity.
-	capOverride map[rgraph.NodeID]int
+	// nodeCapacity is every node's effective capacity: Node.Cap, lowered
+	// for the edge nodes diagonal refinement reduces.
+	nodeCapacity []int
 	// seqs holds, for each edge node, the ordered net IDs crossing it
 	// (storage order: from Edge.A's position toward Edge.B's).
 	seqs [][]int
-	// passages holds the committed chords per tile.
-	passages map[tileKey][]passage
+	// passages holds the committed chords per tile, indexed by the dense
+	// tile ordinal tileBase[layer]+tri.
+	passages [][]passage
+	tileBase []int32
 
 	guides     []*Guide
 	routed     int // committed-guide count, maintained by commit/ripUp
@@ -176,25 +164,18 @@ type Router struct {
 	heapPushes int
 	ripUps     int
 	kept       int
-	// scr is the canonical A* scratch: the serial reference loop and every
-	// non-speculative reroute (discarded speculations, diagonal
-	// refinement) reuse it across route calls. Worker-owned scratches for
-	// the speculative stage live in specScr.
+	// scr is the A* scratch every search of the round loop and of
+	// diagonal refinement reuses across route calls.
 	scr *searchScratch
 
-	// Change clock: advances on every commit and rip-up; nodeStamp,
-	// linkStamp and tileStamp record the last tick that changed a
-	// resource's usage, sequence list or passage list. Diagonal refinement
-	// uses the node stamps to rescan only the mesh edges whose inputs
-	// changed since they were last proven clean (diagCheckedAt, indexed by
-	// edge node); the speculative commit path compares the stamps of a
-	// speculation's read set against the batch snapshot. tileStamp is
-	// dense, indexed by tileBase[layer]+tri.
+	// Change clock: advances on every commit and rip-up; nodeStamp and
+	// linkStamp record the last tick that changed a resource's usage or
+	// sequence list. Diagonal refinement uses them to rescan only the mesh
+	// edges whose inputs changed since they were last proven clean
+	// (diagCheckedAt, indexed by edge node).
 	clock         int64
 	nodeStamp     []int64
 	linkStamp     []int64
-	tileBase      []int32
-	tileStamp     []int64
 	diagCheckedAt []int64
 
 	// Round-level blocked sets: every search records the nodes, links and
@@ -206,23 +187,14 @@ type Router struct {
 	// alone would never select them.
 	roundBlkNodes map[rgraph.NodeID]struct{}
 	roundBlkLinks map[int]struct{}
-	roundBlkTiles map[tileKey]struct{}
+	roundBlkTiles map[int32]struct{}
 
-	// Speculative-routing state: predTiles holds each net's predicted tile
-	// footprint (its standalone ordering-seed path), specGroup the
-	// union-find interference group built from those footprints, specScr
-	// the lazily created per-worker scratches, and the counters feed
-	// Result and the obs ledger.
 	// orderModel is the feature model initialOrder built for the ordering
 	// strategy (nil until initialOrder runs, or with DisableRUDYOrder).
 	orderModel *portfolio.Model
-
-	predTiles  [][]tileKey
-	specGroup  []int32
-	specScr    []*searchScratch
-	specHits   int
-	specMisses int
-	specWasted int
+	// predTiles holds each net's predicted tile footprint: the tiles its
+	// standalone ordering-seed path crosses.
+	predTiles [][]tileKey
 }
 
 // New creates a router over the graph.
@@ -234,22 +206,24 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		rec:           obs.Or(opt.Rec),
 		nodeUse:       make([]int, len(g.Nodes)),
 		linkUse:       make([]int, len(g.Links)),
-		capOverride:   make(map[rgraph.NodeID]int),
+		nodeCapacity:  make([]int, len(g.Nodes)),
 		seqs:          make([][]int, len(g.Nodes)),
-		passages:      make(map[tileKey][]passage),
+		passages:      make([][]passage, tb[len(g.Layers)]),
+		tileBase:      tb,
 		guides:        make([]*Guide, len(g.Design.Nets)),
-		scr:           newSearchScratch(g),
+		scr:           newSearchScratch(g, tb[len(g.Layers)]),
 		nodeStamp:     make([]int64, len(g.Nodes)),
 		linkStamp:     make([]int64, len(g.Links)),
-		tileBase:      tb,
-		tileStamp:     make([]int64, tb[len(g.Layers)]),
 		diagCheckedAt: make([]int64, len(g.Nodes)),
 
 		roundBlkNodes: make(map[rgraph.NodeID]struct{}),
 		roundBlkLinks: make(map[int]struct{}),
-		roundBlkTiles: make(map[tileKey]struct{}),
+		roundBlkTiles: make(map[int32]struct{}),
 
 		predTiles: make([][]tileKey, len(g.Design.Nets)),
+	}
+	for id := range g.Nodes {
+		r.nodeCapacity[id] = g.Nodes[id].Cap
 	}
 	// Pre-size the sequence lists from edge capacity: a sequence entry
 	// consumes at least one capacity unit, so Cap bounds the list length
@@ -282,12 +256,12 @@ func (r *Router) edgeUnits(net int) int {
 
 // nodeCap returns the effective capacity of a node, honouring diagonal
 // refinement reductions.
-func (r *Router) nodeCap(id rgraph.NodeID) int {
-	if c, ok := r.capOverride[id]; ok {
-		return c
-	}
-	return r.G.Node(id).Cap
-}
+func (r *Router) nodeCap(id rgraph.NodeID) int { return r.nodeCapacity[id] }
+
+// tileIndex maps a tile key to its dense ordinal tileBase[layer]+tri.
+//
+//rdl:noalloc
+func (r *Router) tileIndex(k tileKey) int32 { return r.tileBase[k.layer] + int32(k.tri) }
 
 // Run executes the full global-routing flow and returns the guides. When
 // ctx is cancelled or expires mid-run, routing stops between nets and Run
@@ -306,25 +280,11 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	res := &Result{}
 	astarSpan := obs.StartSpan(r.rec, "global.astar")
 	progress := r.rec.Enabled()
-	// The speculative driver needs the interference groups and a worker
-	// pool; AfterEachNet forces the serial path because the callback may
-	// mutate state concurrent searches read (the AARF* baseline
-	// re-triangulates layers in it).
-	workers := r.Opt.parallelism()
-	speculate := workers > 1 && r.Opt.AfterEachNet == nil
-	if speculate {
-		r.buildSpecGroups()
-	}
 	var lastFailed []int
 	for round := 0; round < r.Opt.MaxOrderRounds; round++ {
 		res.OrderRounds = round + 1
 		lastFailed = lastFailed[:0]
-		var stopped bool
-		if speculate {
-			stopped = r.routeRoundSpec(ctx, order, failCount, &lastFailed, progress, workers)
-		} else {
-			stopped = r.routeRoundSerial(ctx, order, failCount, &lastFailed, progress)
-		}
+		stopped := r.routeRound(ctx, order, failCount, &lastFailed, progress)
 		done := stopped || len(lastFailed) == 0 ||
 			round == r.Opt.MaxOrderRounds-1 // keep partial result; no rip-up on the last round
 		if !done {
@@ -369,9 +329,6 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	res.Expansions = r.expansions
 	res.RipUps = r.ripUps
 	res.KeptGuides = r.kept
-	res.SpeculationHits = r.specHits
-	res.SpeculationMisses = r.specMisses
-	res.WastedExpansions = r.specWasted
 
 	r.rec.Count("global.astar.expansions", int64(r.expansions))
 	r.rec.Count("global.kept_guides", int64(r.kept))
@@ -381,11 +338,6 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	r.rec.Count("global.refine.reductions", int64(res.DiagonalReductions))
 	r.rec.Count("global.nets_routed", int64(len(res.Guides)-len(res.FailedNets)))
 	r.rec.Count("global.nets_failed", int64(len(res.FailedNets)))
-	if speculate {
-		r.rec.Count("global.spec.hits", int64(r.specHits))
-		r.rec.Count("global.spec.misses", int64(r.specMisses))
-		r.rec.Count("global.spec.wasted_expansions", int64(r.specWasted))
-	}
 
 	if obs.Stopped(ctx) {
 		return res, ctx.Err()
@@ -407,9 +359,10 @@ func reorderByFailures(order, failCount []int) {
 // routedCount returns how many nets currently hold a committed guide.
 func (r *Router) routedCount() int { return r.routed }
 
-// routeRoundSerial routes one ordering round on the canonical scratch: the
-// serial reference the speculative driver must reproduce byte-for-byte.
-func (r *Router) routeRoundSerial(ctx context.Context, order, failCount []int,
+// routeRound routes one ordering round: every net of the order that holds
+// no committed guide, one at a time in order, each search seeing every
+// earlier commit. It reports whether ctx stopped the round.
+func (r *Router) routeRound(ctx context.Context, order, failCount []int,
 	lastFailed *[]int, progress bool) (stopped bool) {
 	for _, ni := range order {
 		if obs.Stopped(ctx) {
@@ -423,9 +376,8 @@ func (r *Router) routeRoundSerial(ctx context.Context, order, failCount []int,
 	return false
 }
 
-// routeOne is the canonical per-net step shared by the serial round loop
-// and the speculative driver's miss path: search on the canonical scratch,
-// fold the work counters, then commit or record the failure.
+// routeOne is the per-net step of the round loop: search, fold the work
+// counters, then commit or record the failure.
 func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress bool) {
 	nets := r.G.Design.Nets
 	g, err := r.route(r.scr, nets[ni])
@@ -483,8 +435,7 @@ func (r *Router) commit(g *searchResult) {
 			r.linkUse[l]++
 		}
 	}
-	// Record passages per tile for crossing checks, stamping each touched
-	// tile's passage list as changed.
+	// Record passages per tile for crossing checks.
 	for i, l := range g.links {
 		link := r.G.Link(l)
 		if link.Kind == rgraph.CrossVia {
@@ -494,9 +445,8 @@ func (r *Router) commit(g *searchResult) {
 		p := passage{net: g.net}
 		p.e1 = r.passageEndFor(tile, g.nodes[i])
 		p.e2 = r.passageEndFor(tile, g.nodes[i+1])
-		key := tileKey{link.Layer, link.Tile}
-		r.tileStamp[r.tileBase[key.layer]+int32(key.tri)] = r.clock
-		r.passages[key] = append(r.passages[key], p)
+		ti := r.tileIndex(tileKey{link.Layer, link.Tile})
+		r.passages[ti] = append(r.passages[ti], p)
 	}
 	r.guides[g.net] = guide
 	r.routed++
@@ -546,12 +496,11 @@ func (r *Router) ripUp(guide *Guide) {
 		if link.Kind == rgraph.CrossVia {
 			continue
 		}
-		key := tileKey{link.Layer, link.Tile}
-		r.tileStamp[r.tileBase[key.layer]+int32(key.tri)] = r.clock
-		ps := r.passages[key]
+		ti := r.tileIndex(tileKey{link.Layer, link.Tile})
+		ps := r.passages[ti]
 		for j := range ps {
 			if ps[j].net == guide.Net {
-				r.passages[key] = append(ps[:j], ps[j+1:]...)
+				r.passages[ti] = append(ps[:j], ps[j+1:]...)
 				break
 			}
 		}
@@ -564,22 +513,14 @@ func (r *Router) ripUp(guide *Guide) {
 // noteSearchFailed folds the failed search's blocked resources into the
 // round-level sets consumed at the next boundary.
 func (r *Router) noteSearchFailed(sc *searchScratch) {
-	r.foldBlocked(sc.blkNodes, sc.blkLinks, sc.blkTiles)
-}
-
-// foldBlocked merges one failed search's blocked resources into the
-// round-level sets. The speculative driver calls it with the copied sets of
-// a validated speculative failure, which by the validation argument are
-// exactly what the serial search would have recorded.
-func (r *Router) foldBlocked(nodes []rgraph.NodeID, links []int, tiles []tileKey) {
-	for _, id := range nodes {
+	for _, id := range sc.blkNodes {
 		r.roundBlkNodes[id] = struct{}{}
 	}
-	for _, l := range links {
+	for _, l := range sc.blkLinks {
 		r.roundBlkLinks[l] = struct{}{}
 	}
-	for _, key := range tiles {
-		r.roundBlkTiles[key] = struct{}{}
+	for _, ti := range sc.blkTiles {
+		r.roundBlkTiles[ti] = struct{}{}
 	}
 }
 
@@ -605,11 +546,7 @@ func (r *Router) dirtyClosure() []bool {
 	nodeBase := nNets
 	linkBase := nodeBase + len(r.G.Nodes)
 	tileBase := linkBase + len(r.G.Links)
-	tileIdx := make(map[tileKey]int, len(r.passages))
-	for key := range r.passages {
-		tileIdx[key] = tileBase + len(tileIdx)
-	}
-	parent := make([]int32, tileBase+len(tileIdx))
+	parent := make([]int32, tileBase+len(r.passages))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -637,7 +574,7 @@ func (r *Router) dirtyClosure() []bool {
 			union(int32(net), int32(linkBase+l))
 			link := r.G.Link(l)
 			if link.Kind != rgraph.CrossVia {
-				union(int32(net), int32(tileIdx[tileKey{link.Layer, link.Tile}]))
+				union(int32(net), int32(tileBase)+r.tileIndex(tileKey{link.Layer, link.Tile}))
 			}
 		}
 	}
@@ -666,8 +603,8 @@ func (r *Router) dirtyClosure() []bool {
 			mark(net)
 		}
 	}
-	for key := range r.roundBlkTiles {
-		for _, p := range r.passages[key] {
+	for ti := range r.roundBlkTiles {
+		for _, p := range r.passages[ti] {
 			mark(p.net)
 		}
 	}

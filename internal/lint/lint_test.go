@@ -23,7 +23,6 @@ var fixtureAnalyzers = map[string][]*Analyzer{
 	"barego":     {Barego},
 	"noalloc":    {Noalloc},
 	"transalloc": {Transalloc},
-	"readset":    {Readset},
 	"framework":  {Detrand},
 }
 

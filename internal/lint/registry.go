@@ -43,7 +43,6 @@ func All() []*Analyzer {
 		Barego,
 		Noalloc,
 		Transalloc,
-		Readset,
 	}
 }
 

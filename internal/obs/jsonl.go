@@ -40,17 +40,19 @@ func newJSONL(w io.Writer, now func() time.Time) *JSONL {
 }
 
 // event is one trace line. Field order is fixed by this struct and is part
-// of the trace format.
+// of the trace format. Delta and Value are pointers so that a count or
+// gauge event always carries its number, zero included, while the other
+// kinds leave the field out.
 type event struct {
-	TMs   float64 `json:"t_ms"`
-	Ev    string  `json:"ev"`
-	Stage string  `json:"stage,omitempty"`
-	Name  string  `json:"name,omitempty"`
-	Ms    float64 `json:"ms,omitempty"`
-	Delta int64   `json:"delta,omitempty"`
-	Value float64 `json:"value,omitempty"`
-	Done  int     `json:"done,omitempty"`
-	Total int     `json:"total,omitempty"`
+	TMs   float64  `json:"t_ms"`
+	Ev    string   `json:"ev"`
+	Stage string   `json:"stage,omitempty"`
+	Name  string   `json:"name,omitempty"`
+	Ms    float64  `json:"ms,omitempty"`
+	Delta *int64   `json:"delta,omitempty"`
+	Value *float64 `json:"value,omitempty"`
+	Done  int      `json:"done,omitempty"`
+	Total int      `json:"total,omitempty"`
 }
 
 func (j *JSONL) emit(e event) {
@@ -79,12 +81,12 @@ func (j *JSONL) StageEnd(stage string, d time.Duration) {
 
 // Count implements Recorder.
 func (j *JSONL) Count(name string, delta int64) {
-	j.emit(event{Ev: "count", Name: name, Delta: delta})
+	j.emit(event{Ev: "count", Name: name, Delta: &delta})
 }
 
 // Gauge implements Recorder.
 func (j *JSONL) Gauge(name string, v float64) {
-	j.emit(event{Ev: "gauge", Name: name, Value: v})
+	j.emit(event{Ev: "gauge", Name: name, Value: &v})
 }
 
 // Progress implements Recorder.

@@ -35,6 +35,24 @@ func TestJSONLGolden(t *testing.T) {
 	}
 }
 
+// TestJSONLKeepsZeroNumbers pins that a zero counter delta or gauge value
+// is written as a number: a zero is data (global.nets_failed on a clean
+// run), not an absent field.
+func TestJSONLKeepsZeroNumbers(t *testing.T) {
+	var sb strings.Builder
+	clock := time.Unix(100, 0)
+	j := newJSONL(&sb, func() time.Time { return clock })
+	j.Count("global.nets_failed", 0)
+	j.Gauge("drc.findings", 0)
+
+	const golden = `{"t_ms":0,"ev":"count","name":"global.nets_failed","delta":0}
+{"t_ms":0,"ev":"gauge","name":"drc.findings","value":0}
+`
+	if sb.String() != golden {
+		t.Errorf("zero-valued events:\n got: %q\nwant: %q", sb.String(), golden)
+	}
+}
+
 // Every line must round-trip as standalone JSON with "ev" and "t_ms"
 // present — the minimal contract for line-oriented trace consumers.
 func TestJSONLLinesParse(t *testing.T) {

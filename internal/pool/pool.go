@@ -23,7 +23,7 @@ import (
 // GOMAXPROCS capped at 8 (routing stages are CPU-bound and stop scaling
 // well past that). Every stage that exposes a Workers/Parallelism knob —
 // detail routing, DRC, the verify gate and the global router's
-// speculative multi-net stage — resolves it through this one function, so
+// ordering seeds — resolves it through this one function, so
 // "zero means auto" cannot drift between stages again.
 func Default(requested int) int {
 	if requested > 0 {

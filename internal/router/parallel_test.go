@@ -37,7 +37,7 @@ func fingerprintOutput(out *Output) string {
 }
 
 // TestRoutePipelineParallelismIdentical pins the unified knob end to end:
-// the whole pipeline — global speculative routing, detailed routing, DRC
+// the whole pipeline — global routing, detailed routing, DRC
 // and the verify gate — produces byte-identical output for every
 // Parallelism value.
 func TestRoutePipelineParallelismIdentical(t *testing.T) {
@@ -68,9 +68,6 @@ func TestRoutePipelineParallelismIdentical(t *testing.T) {
 // unified knob reaches a stage only when that stage has no override of its
 // own.
 func TestParallelismPropagatesToStages(t *testing.T) {
-	// dense3 has several disjoint congestion clusters, so its interference
-	// groups actually admit multi-net windows (dense1's nets collapse into
-	// one group and would speculate nothing).
 	d, err := design.GenerateDense("dense3")
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +84,5 @@ func TestParallelismPropagatesToStages(t *testing.T) {
 	}
 	if out.Metrics.Routability != 1 {
 		t.Fatalf("routability = %v", out.Metrics.Routability)
-	}
-	// The global stage saw the knob: a parallel run on a routable design
-	// records speculation activity.
-	if out.GlobalResult.SpeculationHits == 0 {
-		t.Error("Parallelism did not reach the global stage (no speculation hits)")
 	}
 }

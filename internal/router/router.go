@@ -35,13 +35,12 @@ type Options struct {
 	Global global.Options
 	Detail detail.Options
 	// Parallelism is the pipeline's one concurrency knob: it sizes the
-	// worker pools of global routing (speculative multi-net search and
-	// ordering seeds), detailed routing, the DRC stage and the
-	// verification gate. Zero selects GOMAXPROCS capped at 8; 1 forces the
-	// serial reference path everywhere. Results are byte-identical for
-	// every value. A stage-level override (Global.Parallelism,
-	// Detail.Workers) or the deprecated VerifyWorkers alias wins over this
-	// knob for its own stage when non-zero.
+	// worker pools of the global stage's ordering seeds, detailed routing,
+	// the DRC stage and the verification gate. Zero selects GOMAXPROCS
+	// capped at 8; 1 forces the serial reference path everywhere. Results
+	// are byte-identical for every value. A stage-level override
+	// (Global.Parallelism, Detail.Workers) wins over this knob for its own
+	// stage when non-zero.
 	Parallelism int
 	// TimeBudget aborts routing when exceeded (the paper caps every run at
 	// one hour and reports the best result so far). Zero means no limit.
@@ -57,13 +56,6 @@ type Options struct {
 	// additionally fails the run with a *VerifyError when the verifier
 	// finds problems.
 	Verify VerifyMode
-	// VerifyWorkers sizes the worker pool of the DRC stage and the
-	// verification gate.
-	//
-	// Deprecated: use Parallelism, which covers every stage. VerifyWorkers
-	// is kept as a working alias for the DRC/verify stages and wins over
-	// Parallelism there when non-zero.
-	VerifyWorkers int
 	// Ordering selects the global stage's net-ordering strategy by name
 	// ("rudy", "netlen", "congestion", "anneal"; see internal/portfolio).
 	// Empty selects the legacy RUDY path — byte-identical output and
@@ -80,16 +72,6 @@ type Options struct {
 	// OrderingProfile parameterizes the "congestion" strategy's scorer;
 	// nil selects the built-in default weights.
 	OrderingProfile *portfolio.Profile
-}
-
-// verifyWorkers resolves the DRC/verify pool size: the deprecated
-// stage-level alias when set, else the unified knob (zero falls through to
-// the stages' own GOMAXPROCS-capped-at-8 default).
-func (o Options) verifyWorkers() int {
-	if o.VerifyWorkers != 0 {
-		return o.VerifyWorkers
-	}
-	return o.Parallelism
 }
 
 // Metrics summarizes one routing run in the form the paper's tables report.
@@ -217,7 +199,7 @@ func finish(ctx context.Context, d *design.Design, g *rgraph.Graph,
 
 	span := obs.StartSpan(rec, "drc")
 	violations := detail.CheckDRCParallel(dres.Routes, d, detail.DRCOptions{
-		Workers: opt.verifyWorkers(), Rec: rec,
+		Workers: opt.Parallelism, Rec: rec,
 	})
 	span.End()
 	if rec.Enabled() {
@@ -226,7 +208,7 @@ func finish(ctx context.Context, d *design.Design, g *rgraph.Graph,
 
 	// Verification gate: the independent verifier re-checks the result,
 	// reusing the violations above so wire rules are not checked twice.
-	report := runGate(d, dres.Routes, violations, opt.Verify, opt.verifyWorkers(), rec)
+	report := runGate(d, dres.Routes, violations, opt.Verify, opt.Parallelism, rec)
 
 	out := &Output{
 		Design:       d,

@@ -110,21 +110,6 @@ func TestParallelismKeepsExistingCacheKeys(t *testing.T) {
 	}
 }
 
-// TestVerifyWorkersAlias pins the deprecated alias: VerifyWorkers wins for
-// the DRC/verify stages when set, and falls through to Parallelism
-// otherwise.
-func TestVerifyWorkersAlias(t *testing.T) {
-	if got := (Options{VerifyWorkers: 3, Parallelism: 5}).verifyWorkers(); got != 3 {
-		t.Errorf("VerifyWorkers override: got %d, want 3", got)
-	}
-	if got := (Options{Parallelism: 5}).verifyWorkers(); got != 5 {
-		t.Errorf("Parallelism fallback: got %d, want 5", got)
-	}
-	if got := (Options{}).verifyWorkers(); got != 0 {
-		t.Errorf("zero options: got %d, want 0 (stage default)", got)
-	}
-}
-
 func TestSpecValidateRejectsNegativeParallelism(t *testing.T) {
 	s := OptionsSpec{Parallelism: -1}
 	if err := s.Validate(); err == nil {

@@ -141,39 +141,3 @@ func TestHTTPPortfolioResult(t *testing.T) {
 		t.Errorf("winner row score wrong: %+v", res.Portfolio[1])
 	}
 }
-
-// TestHTTPSpeculationHitRate pins the /metricsz derivation: absent while
-// the speculation counters are zero, hits/(hits+misses) once the global
-// stage has recorded activity.
-func TestHTTPSpeculationHitRate(t *testing.T) {
-	e := New(Config{Workers: 1, Route: func(ctx context.Context, d *design.Design, opt router.Options) (*router.Output, error) {
-		opt.Rec.Count("global.spec.hits", 3)
-		opt.Rec.Count("global.spec.misses", 1)
-		return stubRoute(nil)(ctx, d, opt)
-	}})
-	defer e.Close()
-	ts := httptest.NewServer(NewHandler(e))
-	defer ts.Close()
-
-	var before Stats
-	if code := getJSON(t, ts.URL+"/metricsz", &before); code != http.StatusOK {
-		t.Fatalf("metricsz: code = %d", code)
-	}
-	if before.SpeculationHitRate != nil {
-		t.Errorf("speculation_hit_rate before any job: %v, want absent", *before.SpeculationHitRate)
-	}
-
-	if _, code := postDesign(t, ts, testDesign(1), "?wait=1"); code != http.StatusOK {
-		t.Fatalf("submit: code = %d", code)
-	}
-	var after Stats
-	if code := getJSON(t, ts.URL+"/metricsz", &after); code != http.StatusOK {
-		t.Fatalf("metricsz: code = %d", code)
-	}
-	if after.SpeculationHitRate == nil {
-		t.Fatal("speculation_hit_rate absent after speculative activity")
-	}
-	if got := *after.SpeculationHitRate; got != 0.75 {
-		t.Errorf("speculation_hit_rate = %v, want 0.75", got)
-	}
-}

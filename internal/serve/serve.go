@@ -420,10 +420,6 @@ type Stats struct {
 	Counters map[string]int64 `json:"counters"`
 	// Gauges holds last-written gauge values.
 	Gauges map[string]float64 `json:"gauges"`
-	// SpeculationHitRate is hits/(hits+misses) of the global stage's
-	// speculative multi-net searches, aggregated across jobs; absent until
-	// a parallel global run has recorded speculation activity.
-	SpeculationHitRate *float64 `json:"speculation_hit_rate,omitempty"`
 }
 
 // Stats returns a consistent snapshot of the engine.
@@ -442,11 +438,6 @@ func (e *Engine) Stats() Stats {
 	s.CacheSize = e.results.len()
 	s.Counters = e.metrics.Counters()
 	s.Gauges = e.metrics.Gauges()
-	hits, misses := s.Counters["global.spec.hits"], s.Counters["global.spec.misses"]
-	if total := hits + misses; total > 0 {
-		rate := float64(hits) / float64(total)
-		s.SpeculationHitRate = &rate
-	}
 	return s
 }
 
