@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race-gate lint lint-escape fmt-check bench bench-serve bench-drc bench-route alloc-gate fmt
+.PHONY: all tier1 tier2 race-gate lint lint-escape fmt-check perfbench-check bench bench-serve bench-drc bench-route alloc-gate fmt
 
 all: tier1
 
@@ -46,6 +46,12 @@ lint-escape:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# perfbench/ is its own Go module, so neither tier1 nor tier2 builds it.
+# This vets and self-tests the benchmark harness against the router API it
+# compiles against.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -68,9 +68,10 @@ func TestMain(m *testing.M) {
 	if path := os.Getenv("BENCH_ROUTE_OUT"); path != "" && code == 0 {
 		routeBenchResults.mu.Lock()
 		// Detail rows carry the allocation trajectory against the pinned
-		// seed, and the same single-CPU note global rows get: tile routing
-		// and assembly fan out over the same pool, so on a 1-CPU host their
-		// wall-clock is serial throughput and allocs/op is the signal.
+		// seed, and the same one-CPU note global rows get: tile routing
+		// and assembly fan out over the same pool, so with one usable CPU
+		// their wall-clock is serial throughput and allocs/op is the signal.
+		// "cpus" is GOMAXPROCS, the CPUs the pool can actually use.
 		for _, e := range routeBenchResults.m {
 			if e["stage"] != "detail" {
 				continue
@@ -82,8 +83,8 @@ func TestMain(m *testing.M) {
 					e["allocs_vs_seed"] = seed / a
 				}
 			}
-			if runtime.NumCPU() == 1 {
-				e["note"] = "single-CPU host: pool is timesliced, speedup not measurable"
+			if runtime.GOMAXPROCS(0) == 1 {
+				e["note"] = "one usable CPU (GOMAXPROCS=1): pool is timesliced, speedup not measurable"
 			}
 		}
 		// Pair each parallel global entry with its serial reference into a
@@ -100,12 +101,12 @@ func TestMain(m *testing.M) {
 			sn, _ := se["ns_per_op"].(float64)
 			pn, _ := e["ns_per_op"].(float64)
 			if sn > 0 && pn > 0 {
-				if runtime.NumCPU() == 1 {
-					// A 1-CPU host timeslices the pool, so the ratio is
+				if runtime.GOMAXPROCS(0) == 1 {
+					// One usable CPU timeslices the pool, so the ratio is
 					// scheduler noise, not parallel speedup; null keeps the
 					// column honest and the note says why.
 					e["speedup_vs_serial"] = nil
-					e["note"] = "single-CPU host: pool is timesliced, speedup not measurable"
+					e["note"] = "one usable CPU (GOMAXPROCS=1): pool is timesliced, speedup not measurable"
 				} else {
 					e["speedup_vs_serial"] = sn / pn
 				}
@@ -177,7 +178,7 @@ func measureLoop(b *testing.B, name, stage, cse string, fn func()) {
 		"allocs_per_op": float64(after.Mallocs-before.Mallocs) / n,
 		"bytes_per_op":  float64(after.TotalAlloc-before.TotalAlloc) / n,
 		"n":             b.N,
-		"cpus":          runtime.NumCPU(),
+		"cpus":          runtime.GOMAXPROCS(0),
 	})
 }
 
@@ -259,7 +260,7 @@ func BenchmarkPortfolioRoute(b *testing.B) {
 				"wirelength_um": o.Wirelength,
 				"vias":          o.Vias,
 				"winner":        o.Strategy == out.Metrics.PortfolioWinner,
-				"cpus":          runtime.NumCPU(),
+				"cpus":          runtime.GOMAXPROCS(0),
 			})
 		}
 		extra := benchjson.Entry{

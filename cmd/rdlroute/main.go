@@ -8,8 +8,7 @@
 //	rdlroute [-router ours|cai|aarf] [-budget 30s] [-svg out.svg -layer 0]
 //	         [-routes out.json] [-stats] [-verify off|warn|strict]
 //	         [-trace out.jsonl] [-progress] [-viacost 20]
-//	         [-ordering rudy|netlen|congestion|anneal]
-//	         [-portfolio rudy,netlen,anneal] [-ordering-profile prof.json]
+//	         [-portfolio rudy,netlen,congestion]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //	         [-strict] (-design file.json | -case dense1)
 //
@@ -41,7 +40,6 @@ import (
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
 	"rdlroute/internal/obs"
-	"rdlroute/internal/portfolio"
 	"rdlroute/internal/rgraph"
 	"rdlroute/internal/router"
 	"rdlroute/internal/stats"
@@ -88,9 +86,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		strict     = fs.Bool("strict", false, "fail with exit code 3 on timeout, 4 on unrouted nets")
 		workers    = fs.Int("workers", 0, "pipeline parallelism: worker-pool size for global/detail/DRC/verify (0 = GOMAXPROCS capped at 8, 1 = serial); output is identical for every value")
 		viaCost    = fs.Float64("viacost", 0, "via cost in µm of equivalent wirelength: 0 = default (4×ViaWidth), negative = free vias")
-		ordering   = fs.String("ordering", "", "net-ordering strategy: rudy, netlen, congestion or anneal (empty = rudy)")
-		portfolioF = fs.String("portfolio", "", "comma-separated strategies raced as independent route attempts; the best result wins (e.g. rudy,netlen,anneal)")
-		orderProf  = fs.String("ordering-profile", "", "JSON weight profile for the congestion ordering strategy")
+		portfolioF = fs.String("portfolio", "", "net-ordering strategies (rudy, netlen, congestion), comma-separated; several race as independent route attempts and the best result wins (empty = rudy)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -139,16 +135,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			portfolioList = append(portfolioList, name)
 		}
 	}
-	var profile *portfolio.Profile
-	if *orderProf != "" {
-		p, err := portfolio.LoadProfile(*orderProf)
-		if err != nil {
-			return err
-		}
-		profile = &p
-	}
-	if (*ordering != "" || len(portfolioList) > 0 || profile != nil || *viaCost != 0) && *which != "ours" {
-		return fmt.Errorf("-ordering/-portfolio/-ordering-profile/-viacost only apply to -router ours, not %q", *which)
+	if (len(portfolioList) > 0 || *viaCost != 0) && *which != "ours" {
+		return fmt.Errorf("-portfolio/-viacost only apply to -router ours, not %q", *which)
 	}
 
 	var d *design.Design
@@ -194,8 +182,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case "ours":
 		out, err := router.Route(ctx, d, router.Options{
 			TimeBudget: *budget, Rec: rec, Verify: vmode, Parallelism: *workers,
-			Ordering: *ordering, Portfolio: portfolioList, OrderingProfile: profile,
-			Graph: rgraph.Options{ViaCost: rgraph.ViaCostPtr(*viaCost)},
+			Portfolio: portfolioList,
+			Graph:     rgraph.Options{ViaCost: rgraph.ViaCostPtr(*viaCost)},
 		})
 		if out == nil {
 			return err

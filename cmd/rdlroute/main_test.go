@@ -236,22 +236,30 @@ func TestRunPortfolioFlag(t *testing.T) {
 }
 
 func TestRunOrderingFlag(t *testing.T) {
+	// -portfolio is the one ordering flag: a single name routes with that
+	// strategy alone and reports it as the lone (winning) attempt.
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-case", "dense1", "-ordering", "netlen"}, &sb); err != nil {
+	if err := run(context.Background(), []string{"-case", "dense1", "-portfolio", "netlen"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if out := sb.String(); strings.Contains(out, "portfolio:") {
-		t.Errorf("single-ordering run printed portfolio rows:\n%s", out)
+	out := sb.String()
+	if rows := strings.Count(out, "portfolio:"); rows != 1 || !strings.Contains(out, "portfolio: netlen") || !strings.Contains(out, "winner") {
+		t.Errorf("one-strategy run should print one winning netlen row:\n%s", out)
 	}
-	if err := run(context.Background(), []string{"-case", "dense1", "-ordering", "zigzag"}, &sb); err == nil {
-		t.Error("unknown ordering must error")
+	for _, args := range [][]string{
+		{"-case", "dense1", "-portfolio", "zigzag"},
+		{"-case", "dense1", "-portfolio", "rudy,zigzag"},
+	} {
+		if err := run(context.Background(), args, &sb); err == nil {
+			t.Errorf("%v must error", args)
+		}
 	}
 }
 
 func TestRunOrderingNeedsOursRouter(t *testing.T) {
 	var sb strings.Builder
-	if err := run(context.Background(), []string{"-case", "dense1", "-router", "cai", "-ordering", "rudy"}, &sb); err == nil {
-		t.Error("-ordering with -router cai must error")
+	if err := run(context.Background(), []string{"-case", "dense1", "-router", "cai", "-portfolio", "rudy"}, &sb); err == nil {
+		t.Error("-portfolio with -router cai must error")
 	}
 	if err := run(context.Background(), []string{"-case", "dense1", "-router", "aarf", "-portfolio", "rudy,netlen"}, &sb); err == nil {
 		t.Error("-portfolio with -router aarf must error")

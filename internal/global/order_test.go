@@ -73,8 +73,8 @@ func TestBrokenStrategyFallsBackToRUDY(t *testing.T) {
 }
 
 func TestConfiguredStrategyStillRoutes(t *testing.T) {
-	for _, name := range []string{"netlen", "congestion", "anneal"} {
-		strat, err := portfolio.New(name, portfolio.Profile{})
+	for _, name := range []string{"netlen", "congestion"} {
+		strat, err := portfolio.New(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,10 +13,10 @@
 // shared worker budget and selects the winner by a canonical objective, so
 // the chosen result does not depend on worker count or completion order.
 //
-// Every Strategy must be pure and deterministic: Order is a function of the
-// Model alone (the anneal strategy draws from an RNG seeded by a package
-// constant, so it too maps equal models to equal orders). The package is in
-// rdllint's deterministic scope, which enforces this at the source level.
+// Three strategies are built in: rudy (the paper's policy), netlen and
+// congestion. Every Strategy must be pure and deterministic: Order is a
+// function of the Model alone. The package is in rdllint's deterministic
+// scope, which enforces this at the source level.
 package portfolio
 
 import (
@@ -41,11 +41,8 @@ type Model struct {
 	PinDist []float64
 	// Conflicts lists net pairs whose seed paths share congested tiles,
 	// sorted by (A, B) with A < B. It is the pairwise interaction signal
-	// the anneal and congestion strategies use.
+	// the congestion strategy uses.
 	Conflicts []Conflict
-	// Fail[i] is net i's failure count from earlier routing runs (the obs
-	// counter trail); nil when no history is available, e.g. a fresh run.
-	Fail []int
 }
 
 // Conflict is one pair of nets competing for congested tiles.
@@ -74,26 +71,18 @@ func (m *Model) pinDistOf(i int) float64 {
 	return 0
 }
 
-// failOf returns the historic failure count of net i, zero without history.
-func (m *Model) failOf(i int) int {
-	if i < len(m.Fail) {
-		return m.Fail[i]
-	}
-	return 0
-}
-
 // Strategy is one net-ordering policy. Order must return a permutation of
 // [0, m.Nets) and must be pure: equal models give equal orders, for any
 // call count or interleaving. ctx is advisory — a strategy doing real work
-// (anneal) stops early when ctx is cancelled and returns its best order so
-// far, matching the pipeline's report-best-so-far semantics.
+// should stop early when ctx is cancelled and return its best order so far,
+// matching the pipeline's report-best-so-far semantics.
 type Strategy interface {
 	Name() string
 	Order(ctx context.Context, m *Model) []int
 }
 
 // Names lists the built-in strategy names in canonical order.
-func Names() []string { return []string{"rudy", "netlen", "congestion", "anneal"} }
+func Names() []string { return []string{"rudy", "netlen", "congestion"} }
 
 // Known reports whether name is a built-in strategy.
 func Known(name string) bool {
@@ -105,19 +94,15 @@ func Known(name string) bool {
 	return false
 }
 
-// New resolves a strategy by name. The empty name is an alias for "rudy"
-// (the paper's policy). prof parameterizes the congestion scorer and is
-// ignored by the other strategies.
-func New(name string, prof Profile) (Strategy, error) {
+// New resolves a strategy by name.
+func New(name string) (Strategy, error) {
 	switch name {
-	case "", "rudy":
+	case "rudy":
 		return RUDY{}, nil
 	case "netlen":
 		return NetLen{}, nil
 	case "congestion":
-		return Congestion{Profile: prof}, nil
-	case "anneal":
-		return Anneal{}, nil
+		return Congestion{}, nil
 	}
 	return nil, fmt.Errorf("portfolio: unknown ordering strategy %q (have %v)", name, Names())
 }
@@ -126,8 +111,7 @@ func New(name string, prof Profile) (Strategy, error) {
 // deduped and sorted into registration order (the Names order), so any
 // submission order of the same strategy set yields the same list — the
 // first step of the racer's submission-order independence. Empty or unknown
-// names are errors: a portfolio entry, unlike Options.Ordering, has no
-// legacy-alias meaning.
+// names are errors.
 func NormalizeNames(names []string) ([]string, error) {
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -172,8 +156,8 @@ func identity(n int) []int {
 // RUDY is the paper's initial ordering (§III-A2), extracted verbatim from
 // the global router: nets crossing more over-threshold RUDY tiles first,
 // equal counts broken by shorter pin-to-pin distance, remaining ties by net
-// ID. This is the legacy default — an empty Options.Ordering routes through
-// this exact comparator.
+// ID. This is the legacy default — an empty portfolio routes through this
+// exact comparator.
 type RUDY struct{}
 
 // Name implements Strategy.
@@ -216,30 +200,32 @@ func (NetLen) Order(_ context.Context, m *Model) []int {
 	return order
 }
 
-// Congestion scores every net with a weighted sum of the congestion and
-// failure signals the pipeline records — congested-tile count, conflict
-// degree, net length, historic failures — and routes higher scores first.
-// The weights come from a Profile, loadable from a small JSON file, so a
-// scorer tuned offline against observed obs counters plugs in without a
-// code change.
-type Congestion struct {
-	Profile Profile
-}
+// Weights of the Congestion scorer: congested tiles dominate, conflict
+// degree breaks clusters apart, and a slight negative length weight prefers
+// shorter nets among equally congested ones.
+const (
+	congestedWeight = 1
+	conflictWeight  = 0.25
+	lengthWeight    = -0.002
+)
+
+// Congestion scores every net with a weighted sum of the congestion signals
+// of the RUDY seed pass — congested-tile count, conflict degree, net
+// length — and routes higher scores first.
+type Congestion struct{}
 
 // Name implements Strategy.
 func (Congestion) Name() string { return "congestion" }
 
 // Order implements Strategy.
-func (s Congestion) Order(_ context.Context, m *Model) []int {
-	p := s.Profile.withDefaults()
+func (Congestion) Order(_ context.Context, m *Model) []int {
 	score := make([]float64, m.Nets)
 	for i := 0; i < m.Nets; i++ {
-		score[i] = p.CongestedWeight*float64(m.congestedOf(i)) +
-			p.LengthWeight*m.pinDistOf(i) +
-			p.FailWeight*float64(m.failOf(i))
+		score[i] = congestedWeight*float64(m.congestedOf(i)) +
+			lengthWeight*m.pinDistOf(i)
 	}
 	for _, c := range m.Conflicts {
-		w := p.ConflictWeight * float64(c.Shared)
+		w := conflictWeight * float64(c.Shared)
 		if c.A >= 0 && c.A < m.Nets {
 			score[c.A] += w
 		}

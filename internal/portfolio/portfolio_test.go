@@ -3,8 +3,6 @@ package portfolio
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -21,7 +19,7 @@ func testModel() *Model {
 }
 
 func TestNamesKnownNew(t *testing.T) {
-	want := []string{"rudy", "netlen", "congestion", "anneal"}
+	want := []string{"rudy", "netlen", "congestion"}
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -29,7 +27,7 @@ func TestNamesKnownNew(t *testing.T) {
 		if !Known(n) {
 			t.Errorf("Known(%q) = false", n)
 		}
-		s, err := New(n, Profile{})
+		s, err := New(n)
 		if err != nil {
 			t.Fatalf("New(%q): %v", n, err)
 		}
@@ -40,12 +38,10 @@ func TestNamesKnownNew(t *testing.T) {
 	if Known("") || Known("zigzag") {
 		t.Error("Known accepted a non-strategy name")
 	}
-	s, err := New("", Profile{})
-	if err != nil || s.Name() != "rudy" {
-		t.Fatalf(`New("") = %v, %v; want rudy alias`, s, err)
-	}
-	if _, err := New("zigzag", Profile{}); err == nil {
-		t.Fatal("New(zigzag) succeeded; want error")
+	for _, bad := range []string{"", "zigzag"} {
+		if _, err := New(bad); err == nil {
+			t.Fatalf("New(%q) succeeded; want error", bad)
+		}
 	}
 }
 
@@ -69,7 +65,7 @@ func TestStrategiesReturnPermutations(t *testing.T) {
 		{Nets: 4}, // all-zero features: must fall back to id order cleanly
 	}
 	for _, name := range Names() {
-		s, err := New(name, Profile{})
+		s, err := New(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +82,7 @@ func TestStrategiesAreDeterministic(t *testing.T) {
 	ctx := context.Background()
 	m := testModel()
 	for _, name := range Names() {
-		s, _ := New(name, Profile{})
+		s, _ := New(name)
 		a := s.Order(ctx, m)
 		b := s.Order(ctx, m)
 		if !reflect.DeepEqual(a, b) {
@@ -115,92 +111,14 @@ func TestNetLenOrder(t *testing.T) {
 }
 
 func TestCongestionOrder(t *testing.T) {
-	m := testModel()
-	m.Fail = []int{0, 0, 0, 0, 0, 10} // history pushes net 5 to the front
-	got := Congestion{}.Order(context.Background(), m)
-	if got[0] != 5 {
-		t.Fatalf("Congestion order = %v, want net 5 first (10 historic failures)", got)
-	}
-	// With FailWeight crushed the conflict/congestion cluster should lead
-	// and the long clean net 1 trail.
-	got = Congestion{Profile: Profile{FailWeight: 1e-9}}.Order(context.Background(), m)
-	if got[len(got)-1] != 1 {
-		t.Fatalf("Congestion order = %v, want long clean net 1 last", got)
-	}
-}
-
-func TestAnnealRespectsConflicts(t *testing.T) {
-	// Two conflicting nets with very different lengths: the energy term
-	// Shared·dist(later) wants the long net routed first so the short one
-	// pays the detour. Build a model where RUDY puts the long net later
-	// (both uncongested, so RUDY is length-ascending) and check anneal
-	// flips the pair.
-	m := &Model{
-		Nets:      8,
-		PinDist:   []float64{500, 500, 500, 500, 500, 500, 300, 3000},
-		Conflicts: []Conflict{{A: 6, B: 7, Shared: 8}},
-	}
-	order := Anneal{}.Order(context.Background(), m)
-	if !ValidOrder(order, m.Nets) {
-		t.Fatalf("anneal returned invalid order %v", order)
-	}
-	pos := make([]int, m.Nets)
-	for p, ni := range order {
-		pos[ni] = p
-	}
-	if pos[7] > pos[6] {
-		t.Errorf("anneal order %v keeps long conflicting net 7 after net 6; energy not minimized", order)
-	}
-}
-
-func TestAnnealCancelledContextStillValid(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m := testModel()
-	order := Anneal{}.Order(ctx, m)
-	if !ValidOrder(order, m.Nets) {
-		t.Fatalf("anneal under cancelled ctx returned invalid order %v", order)
-	}
-	// With zero iterations executed the result is exactly the RUDY base.
-	if want := (RUDY{}).Order(context.Background(), m); !reflect.DeepEqual(order, want) {
-		t.Errorf("cancelled anneal = %v, want RUDY base %v", order, want)
-	}
-}
-
-func TestProfileParse(t *testing.T) {
-	p, err := ParseProfile([]byte(`{"congested_weight": 3, "fail_weight": 0.5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CongestedWeight != 3 || p.FailWeight != 0.5 {
-		t.Fatalf("parsed profile = %+v", p)
-	}
-	d := p.withDefaults()
-	if d.ConflictWeight != 0.25 || d.LengthWeight != -0.002 {
-		t.Fatalf("withDefaults did not fill unset weights: %+v", d)
-	}
-	if _, err := ParseProfile([]byte(`{"congsted_weight": 3}`)); err == nil {
-		t.Fatal("misspelled field accepted")
-	}
-	if _, err := ParseProfile([]byte(`{"fail_weight": 1e999}`)); err == nil {
-		t.Fatal("non-finite weight accepted")
-	}
-}
-
-func TestLoadProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "prof.json")
-	if err := os.WriteFile(path, []byte(`{"conflict_weight": 2}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := LoadProfile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ConflictWeight != 2 {
-		t.Fatalf("loaded profile = %+v", p)
-	}
-	if _, err := LoadProfile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
+	// Scores 1·congested + 0.25·shared − 0.002·dist: net 5 = 4.75 − 1.6,
+	// net 3 = 4.75 − 2.4, net 2 = 1.25 − 1.8 and net 4 likewise (id breaks
+	// the tie), net 0 = −0.2, net 1 = −8. The conflict cluster leads and
+	// the long clean net 1 trails.
+	got := Congestion{}.Order(context.Background(), testModel())
+	want := []int{5, 3, 0, 2, 4, 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Congestion order = %v, want %v", got, want)
 	}
 }
 
@@ -227,12 +145,13 @@ func TestBetterCanonicalObjective(t *testing.T) {
 }
 
 func TestRaceWinnerIndependentOfParallelism(t *testing.T) {
-	strategies := []Strategy{NetLen{}, RUDY{}, Anneal{}, Congestion{}}
+	broken := stubStrategy("broken")
+	strategies := []Strategy{NetLen{}, RUDY{}, broken, Congestion{}}
 	score := map[string]Outcome{
 		"rudy":       {OK: true, Routability: 0.95, Wirelength: 100},
 		"netlen":     {OK: true, Routability: 0.95, Wirelength: 90},
 		"congestion": {OK: true, Routability: 0.90, Wirelength: 10},
-		"anneal":     {OK: false, Err: errors.New("boom")},
+		"broken":     {OK: false, Err: errors.New("boom")},
 	}
 	var got []struct {
 		winner int
@@ -287,3 +206,9 @@ func TestRaceWorkerSplit(t *testing.T) {
 		}
 	}
 }
+
+// stubStrategy is a named strategy whose attempt a test scripts directly.
+type stubStrategy string
+
+func (s stubStrategy) Name() string                          { return string(s) }
+func (stubStrategy) Order(_ context.Context, m *Model) []int { return identity(m.Nets) }

@@ -6,22 +6,27 @@ import (
 	"testing"
 
 	"rdlroute/internal/design"
+	"rdlroute/internal/verify"
 )
 
 // golden pins the headline metrics of the deterministic pipeline. The exact
 // wirelengths move whenever an algorithm detail changes — update the table
 // deliberately when that happens (tolerances absorb float-level drift, not
-// behavioural change).
+// behavioural change). The DRC, via and via-wire bars are a ratchet: they
+// sit at the measured values and may only tighten.
 var golden = []struct {
 	name        string
 	wirelength  float64 // µm, ±2%
 	maxDRC      int
 	maxVias     int
+	maxViaWire  int // hard via-wire spacing findings of the verifier
 	routability float64
 }{
-	{name: "dense1", wirelength: 18740, maxDRC: 40, maxVias: 60, routability: 1},
-	{name: "dense2", wirelength: 51742, maxDRC: 80, maxVias: 120, routability: 1},
-	{name: "dense3", wirelength: 79930, maxDRC: 120, maxVias: 200, routability: 1},
+	{name: "dense1", wirelength: 18740, maxDRC: 34, maxVias: 32, maxViaWire: 0, routability: 1},
+	{name: "dense2", wirelength: 51742, maxDRC: 48, maxVias: 52, maxViaWire: 0, routability: 1},
+	{name: "dense3", wirelength: 79930, maxDRC: 39, maxVias: 102, maxViaWire: 1, routability: 1},
+	{name: "dense4", wirelength: 120131, maxDRC: 130, maxVias: 204, maxViaWire: 0, routability: 1},
+	{name: "dense5", wirelength: 321335, maxDRC: 548, maxVias: 542, maxViaWire: 5, routability: 1},
 }
 
 func TestGoldenMetrics(t *testing.T) {
@@ -30,7 +35,7 @@ func TestGoldenMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Route(context.Background(), d, Options{})
+		out, err := Route(context.Background(), d, Options{Verify: VerifyWarn})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,6 +51,9 @@ func TestGoldenMetrics(t *testing.T) {
 		}
 		if m.Vias > g.maxVias {
 			t.Errorf("%s: vias = %d, bar %d", g.name, m.Vias, g.maxVias)
+		}
+		if n := out.VerifyReport.Count(verify.ViaWireSpacing); n > g.maxViaWire {
+			t.Errorf("%s: verify via-wire = %d, bar %d", g.name, n, g.maxViaWire)
 		}
 	}
 }

@@ -13,48 +13,21 @@ import (
 	"rdlroute/internal/rgraph"
 )
 
-// orderingProfile resolves the congestion-scorer profile (zero Profile means
-// the built-in defaults; see portfolio.DefaultProfile).
-func (o Options) orderingProfile() portfolio.Profile {
-	if o.OrderingProfile != nil {
-		return *o.OrderingProfile
-	}
-	return portfolio.Profile{}
-}
-
-// orderingStrategy resolves the single-strategy knob. The empty name
-// returns nil — the legacy RUDY path, with the global stage's nil-strategy
-// short-circuit and unchanged cache keys.
-func (o Options) orderingStrategy() (portfolio.Strategy, error) {
-	if o.Ordering == "" {
-		return nil, nil
-	}
-	s, err := portfolio.New(o.Ordering, o.orderingProfile())
-	if err != nil {
-		return nil, fmt.Errorf("router: %w", err)
-	}
-	return s, nil
-}
-
 // portfolioStrategies resolves the Portfolio list into concrete strategies
-// in canonical order. Nil when the portfolio is empty (single-attempt
-// path). Ordering and Portfolio are mutually exclusive: a portfolio already
-// names every strategy it races.
+// in canonical order. Nil when the portfolio is empty: the legacy RUDY
+// path, with the global stage's nil-strategy short-circuit and unchanged
+// cache keys.
 func (o Options) portfolioStrategies() ([]portfolio.Strategy, error) {
 	if len(o.Portfolio) == 0 {
 		return nil, nil
-	}
-	if o.Ordering != "" {
-		return nil, fmt.Errorf("router: Ordering %q and Portfolio %v are mutually exclusive", o.Ordering, o.Portfolio)
 	}
 	names, err := portfolio.NormalizeNames(o.Portfolio)
 	if err != nil {
 		return nil, fmt.Errorf("router: %w", err)
 	}
-	prof := o.orderingProfile()
 	out := make([]portfolio.Strategy, len(names))
 	for i, name := range names {
-		s, err := portfolio.New(name, prof)
+		s, err := portfolio.New(name)
 		if err != nil {
 			return nil, fmt.Errorf("router: %w", err)
 		}
@@ -77,8 +50,9 @@ type attemptResult struct {
 // runAttempt routes the whole global+detail sequence once. strat, when
 // non-nil, overrides the global stage's ordering strategy; workers is the
 // attempt's worker budget for every stage without its own override. rec
-// receives the stage spans (the portfolio racer passes the no-op recorder:
-// spans from K concurrent attempts would interleave nondeterministically).
+// receives the stage spans (a racer of several attempts passes the no-op
+// recorder: spans from concurrent attempts would interleave
+// nondeterministically).
 func runAttempt(ctx context.Context, g *rgraph.Graph, opt Options,
 	strat portfolio.Strategy, workers int, rec obs.Recorder) attemptResult {
 	gopt := opt.Global
@@ -131,17 +105,22 @@ func outcomeOf(ar attemptResult) portfolio.Outcome {
 
 // routePortfolio races the strategies as independent full route attempts
 // over the shared graph and finishes the pipeline (DRC, verify gate,
-// metrics) on the canonical winner. Attempts run on detached recorders;
-// the caller's recorder gets the per-strategy summary instead:
-// portfolio.attempts, portfolio.winner.<name>, and per-strategy
-// routability/wirelength gauges.
+// metrics) on the canonical winner. The caller's recorder gets the
+// per-strategy summary: portfolio.attempts, portfolio.winner.<name>, and
+// per-strategy routability/wirelength gauges. Several attempts run on
+// detached recorders; a lone attempt cannot interleave with anything, so
+// its stage spans go to the caller's recorder too.
 func routePortfolio(ctx context.Context, d *design.Design, g *rgraph.Graph,
 	opt Options, strategies []portfolio.Strategy, rec obs.Recorder, start time.Time) (*Output, error) {
+	attemptRec := obs.Or(nil)
+	if len(strategies) == 1 {
+		attemptRec = rec
+	}
 	span := obs.StartSpan(rec, "portfolio")
 	attempts := make([]attemptResult, len(strategies))
 	winner, outs := portfolio.Race(strategies, opt.Parallelism,
 		func(slot int, s portfolio.Strategy, workers int) portfolio.Outcome {
-			attempts[slot] = runAttempt(ctx, g, opt, s, workers, obs.Or(nil))
+			attempts[slot] = runAttempt(ctx, g, opt, s, workers, attemptRec)
 			return outcomeOf(attempts[slot])
 		})
 	span.End()

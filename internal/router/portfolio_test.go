@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"rdlroute/internal/design"
+	"rdlroute/internal/global"
+	"rdlroute/internal/obs"
 	"rdlroute/internal/portfolio"
 )
 
@@ -26,8 +28,7 @@ func fingerprintPortfolio(out *Output) string {
 
 // portfolioOfSize returns the canonical test portfolio of K strategies.
 func portfolioOfSize(k int) []string {
-	all := []string{"rudy", "netlen", "congestion", "anneal"}
-	return all[:k]
+	return portfolio.Names()[:k]
 }
 
 func routePortfolioCase(t *testing.T, d *design.Design, names []string, par int) *Output {
@@ -50,7 +51,7 @@ func TestPortfolioByteIdenticalAcrossParallelism(t *testing.T) {
 		sizes []int
 		pars  []int
 	}
-	full := matrix{sizes: []int{1, 2, 4}, pars: []int{1, 2, 4, 8}}
+	full := matrix{sizes: []int{1, 2, 3}, pars: []int{1, 2, 4, 8}}
 	cases := []struct {
 		name string
 		m    matrix
@@ -81,7 +82,7 @@ func TestPortfolioByteIdenticalAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run("random", func(t *testing.T) {
-			comparePortfolioParallelism(t, d, []int{1, 2, 4}, []int{1, 2, 4, 8})
+			comparePortfolioParallelism(t, d, []int{1, 2, 3}, []int{1, 2, 4, 8})
 		})
 	}
 }
@@ -110,20 +111,20 @@ func TestPortfolioSubmissionOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fingerprintPortfolio(routePortfolioCase(t, d, []string{"rudy", "netlen", "anneal"}, 4))
-	b := fingerprintPortfolio(routePortfolioCase(t, d, []string{"anneal", "netlen", "rudy"}, 4))
+	a := fingerprintPortfolio(routePortfolioCase(t, d, []string{"rudy", "netlen", "congestion"}, 4))
+	b := fingerprintPortfolio(routePortfolioCase(t, d, []string{"congestion", "netlen", "rudy"}, 4))
 	if a != b {
 		t.Fatal("portfolio output depends on strategy submission order")
 	}
-	c := fingerprintPortfolio(routePortfolioCase(t, d, []string{"netlen", "anneal", "rudy", "netlen"}, 4))
+	c := fingerprintPortfolio(routePortfolioCase(t, d, []string{"netlen", "congestion", "rudy", "netlen"}, 4))
 	if a != c {
 		t.Fatal("duplicate strategy names change portfolio output")
 	}
 }
 
-// TestExplicitRudyMatchesLegacy: naming the paper's policy explicitly —
-// as Ordering or as a one-strategy portfolio — routes byte-identically to
-// the legacy empty-options path.
+// TestExplicitRudyMatchesLegacy: naming the paper's policy explicitly as a
+// one-strategy portfolio routes byte-identically to the legacy
+// empty-options path.
 func TestExplicitRudyMatchesLegacy(t *testing.T) {
 	d, err := design.GenerateDense("dense2")
 	if err != nil {
@@ -134,13 +135,6 @@ func TestExplicitRudyMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := fingerprintOutput(legacy)
-	named, err := Route(context.Background(), d, Options{Ordering: "rudy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fingerprintOutput(named) != ref {
-		t.Fatal("Ordering=rudy differs from the legacy path")
-	}
 	solo := routePortfolioCase(t, d, []string{"rudy"}, 0)
 	if fingerprintOutput(solo) != ref {
 		t.Fatal("one-strategy rudy portfolio differs from the legacy path")
@@ -151,6 +145,37 @@ func TestExplicitRudyMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestSoloPortfolioRoutesOnCallerRecorder: a one-entry portfolio is the
+// single-strategy path. Its lone attempt reports its stage spans on the
+// caller's recorder (nothing can interleave with it) and routes
+// byte-identically to injecting the strategy into the global stage
+// directly.
+func TestSoloPortfolioRoutesOnCallerRecorder(t *testing.T) {
+	d, err := design.GenerateDense("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := obs.NewCollector()
+	solo, err := Route(context.Background(), d, Options{Portfolio: []string{"netlen"}, Rec: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := col.StageSeconds()
+	for _, want := range []string{"global", "global.astar", "detail"} {
+		if _, ok := stages[want]; !ok {
+			t.Errorf("solo portfolio did not report stage %q on the caller's recorder (have %v)",
+				want, col.StageOrder())
+		}
+	}
+	direct, err := Route(context.Background(), d, Options{Global: global.Options{Order: portfolio.NetLen{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprintOutput(solo) != fingerprintOutput(direct) {
+		t.Fatal("one-entry netlen portfolio differs from Global.Order = NetLen")
+	}
+}
+
 // TestPortfolioOutputConsistent checks the race summary against the
 // winner's own metrics and the canonical objective.
 func TestPortfolioOutputConsistent(t *testing.T) {
@@ -158,9 +183,9 @@ func TestPortfolioOutputConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := routePortfolioCase(t, d, []string{"anneal", "congestion", "netlen", "rudy"}, 0)
-	if len(out.Portfolio) != 4 {
-		t.Fatalf("%d attempts, want 4", len(out.Portfolio))
+	out := routePortfolioCase(t, d, []string{"congestion", "netlen", "rudy"}, 0)
+	if len(out.Portfolio) != 3 {
+		t.Fatalf("%d attempts, want 3", len(out.Portfolio))
 	}
 	for i, o := range out.Portfolio {
 		if want := portfolio.Names()[i]; o.Strategy != want {
@@ -199,27 +224,23 @@ func TestOrderingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Route(context.Background(), d, Options{Ordering: "zigzag"}); err == nil {
-		t.Error("unknown ordering accepted")
-	}
-	if _, err := Route(context.Background(), d, Options{Portfolio: []string{"rudy", "zigzag"}}); err == nil {
-		t.Error("unknown portfolio strategy accepted")
-	}
-	if _, err := Route(context.Background(), d, Options{Ordering: "netlen", Portfolio: []string{"rudy"}}); err == nil {
-		t.Error("ordering+portfolio accepted")
+	for _, names := range [][]string{{"zigzag"}, {"rudy", "zigzag"}, {""}} {
+		if _, err := Route(context.Background(), d, Options{Portfolio: names}); err == nil {
+			t.Errorf("portfolio %q accepted", names)
+		}
 	}
 }
 
 // TestSpecPortfolioCanonicalization pins the cache-identity behavior of the
-// new spec fields: submission order canonicalizes away, the profile and the
-// strategy selection are part of the key, and Validate rejects what Route
-// would reject.
+// portfolio field: submission order canonicalizes away, the strategy
+// selection is part of the key, and Validate rejects what Route would
+// reject.
 func TestSpecPortfolioCanonicalization(t *testing.T) {
-	a := OptionsSpec{Portfolio: []string{"anneal", "rudy", "anneal"}}
+	a := OptionsSpec{Portfolio: []string{"netlen", "rudy", "netlen"}}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b := OptionsSpec{Portfolio: []string{"rudy", "anneal"}}
+	b := OptionsSpec{Portfolio: []string{"rudy", "netlen"}}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,25 +250,18 @@ func TestSpecPortfolioCanonicalization(t *testing.T) {
 		t.Errorf("equivalent portfolios canonicalize differently:\n%s\n%s", ca, cb)
 	}
 
-	c := OptionsSpec{Ordering: "congestion",
-		OrderingProfile: &portfolio.Profile{FailWeight: 3}}
+	c := OptionsSpec{Portfolio: []string{"congestion"}}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	cc, _ := c.Canonical()
-	d := OptionsSpec{Ordering: "congestion"}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cd, _ := d.Canonical()
-	if string(cc) == string(cd) {
-		t.Error("ordering profile not part of the cache identity")
+	if string(cc) == string(cb) {
+		t.Error("strategy selection not part of the cache identity")
 	}
 
 	for _, bad := range []OptionsSpec{
-		{Ordering: "zigzag"},
 		{Portfolio: []string{"zigzag"}},
-		{Ordering: "rudy", Portfolio: []string{"netlen"}},
+		{Portfolio: []string{"rudy", ""}},
 	} {
 		bad := bad
 		if err := bad.Validate(); err == nil {
@@ -257,7 +271,7 @@ func TestSpecPortfolioCanonicalization(t *testing.T) {
 
 	// Round trip: spec fields survive Options() and Spec().
 	rt := b.Options().Spec()
-	if rt.Ordering != "" || len(rt.Portfolio) != 2 || rt.Portfolio[0] != "rudy" {
+	if len(rt.Portfolio) != 2 || rt.Portfolio[0] != "rudy" {
 		t.Errorf("portfolio fields lost in round trip: %+v", rt)
 	}
 }

@@ -56,22 +56,17 @@ type Options struct {
 	// additionally fails the run with a *VerifyError when the verifier
 	// finds problems.
 	Verify VerifyMode
-	// Ordering selects the global stage's net-ordering strategy by name
-	// ("rudy", "netlen", "congestion", "anneal"; see internal/portfolio).
-	// Empty selects the legacy RUDY path — byte-identical output and
-	// unchanged cache keys. Mutually exclusive with Portfolio.
-	Ordering string
-	// Portfolio lists strategies raced as independent full route attempts
-	// (each on its own router instance over the shared routing graph,
-	// splitting the Parallelism budget); the winner is chosen by the
-	// canonical objective routability > wirelength > via count > strategy
-	// name, so the selected result is byte-identical for any worker count,
-	// completion order or submission order. Empty (the default) routes the
-	// single configured strategy.
+	// Portfolio is the one net-ordering knob: the strategies ("rudy",
+	// "netlen", "congestion"; see internal/portfolio) raced as independent
+	// full route attempts, each on its own router instance over the shared
+	// routing graph, splitting the Parallelism budget. The winner is chosen
+	// by the canonical objective routability > wirelength > via count >
+	// strategy name, so the selected result is byte-identical for any
+	// worker count, completion order or submission order. A one-entry
+	// portfolio routes with that strategy alone. Empty (the default)
+	// selects the legacy RUDY path — byte-identical output and unchanged
+	// cache keys.
 	Portfolio []string
-	// OrderingProfile parameterizes the "congestion" strategy's scorer;
-	// nil selects the built-in default weights.
-	OrderingProfile *portfolio.Profile
 }
 
 // Metrics summarizes one routing run in the form the paper's tables report.
@@ -177,11 +172,7 @@ func Route(ctx context.Context, d *design.Design, opt Options) (*Output, error) 
 		return routePortfolio(ctx, d, g, opt, strategies, rec, start)
 	}
 
-	strat, err := opt.orderingStrategy()
-	if err != nil {
-		return nil, err
-	}
-	ar := runAttempt(ctx, g, opt, strat, opt.Parallelism, rec)
+	ar := runAttempt(ctx, g, opt, nil, opt.Parallelism, rec)
 	if ar.err != nil {
 		return nil, ar.err
 	}

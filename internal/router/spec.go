@@ -44,19 +44,13 @@ type OptionsSpec struct {
 	// bytes — and therefore every existing cache key — unchanged when the
 	// knob is unset.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Ordering is Options.Ordering, the global stage's net-ordering
-	// strategy name. Empty is the legacy RUDY path; omitempty keeps legacy
-	// cache keys byte-identical. Part of the cache identity: different
-	// strategies route different results.
-	Ordering string `json:"ordering,omitempty"`
-	// Portfolio is Options.Portfolio. Validate canonicalizes it (dedupe,
-	// registration-order sort), so any submission order of the same
-	// strategy set yields the same cache key; empty — the single-attempt
-	// path — is omitted, keeping legacy keys unchanged.
+	// Portfolio is Options.Portfolio, the net-ordering strategies. Part of
+	// the cache identity: different strategies route different results.
+	// Validate canonicalizes it (dedupe, registration-order sort), so any
+	// submission order of the same strategy set yields the same cache key;
+	// empty — the legacy RUDY path — is omitted, keeping legacy keys
+	// unchanged.
 	Portfolio []string `json:"portfolio,omitempty"`
-	// OrderingProfile is Options.OrderingProfile, the congestion scorer's
-	// weights. Nil (the built-in defaults) is omitted.
-	OrderingProfile *portfolio.Profile `json:"ordering_profile,omitempty"`
 }
 
 // Validate checks the spec's enumerated fields and normalizes aliases (the
@@ -72,13 +66,7 @@ func (s *OptionsSpec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("router: parallelism must be >= 0, got %d", s.Parallelism)
 	}
-	if s.Ordering != "" && !portfolio.Known(s.Ordering) {
-		return fmt.Errorf("router: unknown ordering strategy %q (have %v)", s.Ordering, portfolio.Names())
-	}
 	if len(s.Portfolio) > 0 {
-		if s.Ordering != "" {
-			return fmt.Errorf("router: ordering %q and portfolio %v are mutually exclusive", s.Ordering, s.Portfolio)
-		}
 		names, err := portfolio.NormalizeNames(s.Portfolio)
 		if err != nil {
 			return fmt.Errorf("router: %w", err)
@@ -86,11 +74,6 @@ func (s *OptionsSpec) Validate() error {
 		s.Portfolio = names
 	} else {
 		s.Portfolio = nil // [] and absent canonicalize to the same bytes
-	}
-	if s.OrderingProfile != nil {
-		if err := s.OrderingProfile.Validate(); err != nil {
-			return fmt.Errorf("router: %w", err)
-		}
 	}
 	return nil
 }
@@ -171,12 +154,10 @@ func (o Options) Spec() OptionsSpec {
 			SkipAdjust:   o.Detail.SkipAdjust,
 			SkipReassign: o.Detail.SkipReassign,
 		},
-		TimeBudgetMS:    o.TimeBudget.Milliseconds(),
-		Verify:          o.Verify,
-		Parallelism:     o.Parallelism,
-		Ordering:        o.Ordering,
-		Portfolio:       o.Portfolio,
-		OrderingProfile: o.OrderingProfile,
+		TimeBudgetMS: o.TimeBudget.Milliseconds(),
+		Verify:       o.Verify,
+		Parallelism:  o.Parallelism,
+		Portfolio:    o.Portfolio,
 	}
 }
 
@@ -211,12 +192,10 @@ func (s OptionsSpec) Options() Options {
 			SkipAdjust:   s.Detail.SkipAdjust,
 			SkipReassign: s.Detail.SkipReassign,
 		},
-		TimeBudget:      time.Duration(s.TimeBudgetMS) * time.Millisecond,
-		Verify:          s.Verify,
-		Parallelism:     s.Parallelism,
-		Ordering:        s.Ordering,
-		Portfolio:       s.Portfolio,
-		OrderingProfile: s.OrderingProfile,
+		TimeBudget:  time.Duration(s.TimeBudgetMS) * time.Millisecond,
+		Verify:      s.Verify,
+		Parallelism: s.Parallelism,
+		Portfolio:   s.Portfolio,
 	}
 }
 

@@ -70,15 +70,6 @@ type submitRequest struct {
 	// it wins over the options field. Distinct from the engine's -workers,
 	// which is how many jobs run concurrently.
 	Parallelism int `json:"parallelism"`
-	// Ordering is a top-level shorthand for options.ordering, the global
-	// stage's net-ordering strategy; when set it wins over the options
-	// field.
-	Ordering string `json:"ordering"`
-	// Portfolio is a top-level shorthand for options.portfolio: strategies
-	// raced as independent route attempts with canonical winner selection.
-	// When non-empty it wins over the options field. Validate canonicalizes
-	// the list, so submission order does not change the cache key.
-	Portfolio []string `json:"portfolio"`
 }
 
 // submitResponse answers POST /v1/jobs.
@@ -121,12 +112,6 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Parallelism != 0 {
 		req.Options.Parallelism = req.Parallelism
-	}
-	if req.Ordering != "" {
-		req.Options.Ordering = req.Ordering
-	}
-	if len(req.Portfolio) > 0 {
-		req.Options.Portfolio = req.Portfolio
 	}
 
 	j, err := e.Submit(Request{Design: d, Spec: req.Options, Priority: prio})

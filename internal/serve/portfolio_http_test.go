@@ -16,18 +16,15 @@ import (
 	"rdlroute/internal/router"
 )
 
-// TestHTTPOrderingPortfolioFields pins the top-level "ordering" and
-// "portfolio" shorthands: they reach the router as Options.Ordering /
-// Options.Portfolio (canonicalized by Validate), win over the options
-// fields, and invalid strategy names are rejected before admission.
+// TestHTTPOrderingPortfolioFields pins the request's one net-ordering
+// field, options.portfolio: it reaches the router as Options.Portfolio
+// (canonicalized by Validate), invalid strategy names are rejected before
+// admission, and the removed "ordering" fields and top-level shorthands are
+// unknown fields, rejected like any other.
 func TestHTTPOrderingPortfolioFields(t *testing.T) {
-	type seenOpt struct {
-		ordering  string
-		portfolio []string
-	}
-	var seen []seenOpt
+	var seen [][]string
 	e := New(Config{Workers: 1, Route: func(ctx context.Context, d *design.Design, opt router.Options) (*router.Output, error) {
-		seen = append(seen, seenOpt{opt.Ordering, opt.Portfolio})
+		seen = append(seen, opt.Portfolio)
 		return stubRoute(nil)(ctx, d, opt)
 	}})
 	defer e.Close()
@@ -53,47 +50,32 @@ func TestHTTPOrderingPortfolioFields(t *testing.T) {
 		return b
 	}
 
-	if code := post(fmt.Sprintf(`{"design": %s, "ordering": "netlen"}`, dj(1))); code != http.StatusOK {
-		t.Fatalf("top-level ordering: code = %d", code)
+	if code := post(fmt.Sprintf(`{"design": %s, "options": {"portfolio": ["netlen"]}}`, dj(1))); code != http.StatusOK {
+		t.Fatalf("one-strategy portfolio: code = %d", code)
 	}
-	// Submission order canonicalizes: ["netlen","rudy"] arrives as
-	// ["rudy","netlen"].
-	if code := post(fmt.Sprintf(`{"design": %s, "portfolio": ["netlen", "rudy"]}`, dj(2))); code != http.StatusOK {
-		t.Fatalf("top-level portfolio: code = %d", code)
+	// Submission order canonicalizes: ["congestion","rudy"] arrives as
+	// ["rudy","congestion"].
+	if code := post(fmt.Sprintf(`{"design": %s, "options": {"portfolio": ["congestion", "rudy"]}}`, dj(2))); code != http.StatusOK {
+		t.Fatalf("two-strategy portfolio: code = %d", code)
 	}
-	// The shorthands win over the options fields when both are set.
-	if code := post(fmt.Sprintf(`{"design": %s, "options": {"ordering": "rudy"}, "ordering": "anneal"}`, dj(3))); code != http.StatusOK {
-		t.Fatalf("both ordering fields: code = %d", code)
-	}
-	if code := post(fmt.Sprintf(`{"design": %s, "options": {"portfolio": ["rudy"]}, "portfolio": ["anneal", "congestion"]}`, dj(4))); code != http.StatusOK {
-		t.Fatalf("both portfolio fields: code = %d", code)
-	}
-
-	want := []seenOpt{
-		{ordering: "netlen"},
-		{portfolio: []string{"rudy", "netlen"}},
-		{ordering: "anneal"},
-		{portfolio: []string{"congestion", "anneal"}},
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("router ran %d times, want %d", len(seen), len(want))
-	}
-	for i, w := range want {
-		got := seen[i]
-		if got.ordering != w.ordering || fmt.Sprint(got.portfolio) != fmt.Sprint(w.portfolio) {
-			t.Errorf("job %d: router saw %+v, want %+v", i, got, w)
-		}
+	want := [][]string{{"netlen"}, {"rudy", "congestion"}}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("router saw portfolios %v, want %v", seen, want)
 	}
 
 	// Invalid configurations are rejected at admission, before queueing.
-	if code := post(fmt.Sprintf(`{"design": %s, "ordering": "zigzag"}`, dj(5))); code != http.StatusBadRequest {
-		t.Errorf("unknown ordering: code = %d, want 400", code)
+	for i, body := range []string{
+		`{"design": %s, "options": {"portfolio": ["rudy", "zigzag"]}}`,
+		`{"design": %s, "options": {"ordering": "netlen"}}`,
+		`{"design": %s, "ordering": "netlen"}`,
+		`{"design": %s, "portfolio": ["netlen"]}`,
+	} {
+		if code := post(fmt.Sprintf(body, dj(3+i))); code != http.StatusBadRequest {
+			t.Errorf("%s: code = %d, want 400", body, code)
+		}
 	}
-	if code := post(fmt.Sprintf(`{"design": %s, "portfolio": ["rudy", "zigzag"]}`, dj(6))); code != http.StatusBadRequest {
-		t.Errorf("unknown portfolio strategy: code = %d, want 400", code)
-	}
-	if code := post(fmt.Sprintf(`{"design": %s, "ordering": "rudy", "portfolio": ["netlen"]}`, dj(7))); code != http.StatusBadRequest {
-		t.Errorf("ordering+portfolio together: code = %d, want 400", code)
+	if len(seen) != len(want) {
+		t.Errorf("router ran %d times, want %d", len(seen), len(want))
 	}
 }
 
@@ -107,7 +89,7 @@ func TestHTTPPortfolioResult(t *testing.T) {
 		out.Portfolio = []portfolio.Outcome{
 			{Strategy: "rudy", OK: true, Routability: 0.9, Wirelength: 1200, Vias: 8},
 			{Strategy: "netlen", OK: true, Routability: 1, Wirelength: 1100, Vias: 7},
-			{Strategy: "anneal", Err: errors.New("attempt exploded")},
+			{Strategy: "congestion", Err: errors.New("attempt exploded")},
 		}
 		return out, nil
 	}})
@@ -126,7 +108,7 @@ func TestHTTPPortfolioResult(t *testing.T) {
 	if len(res.Portfolio) != 3 {
 		t.Fatalf("%d portfolio rows, want 3", len(res.Portfolio))
 	}
-	for i, want := range []string{"rudy", "netlen", "anneal"} {
+	for i, want := range []string{"rudy", "netlen", "congestion"} {
 		if res.Portfolio[i].Strategy != want {
 			t.Errorf("row %d is %q, want %q", i, res.Portfolio[i].Strategy, want)
 		}
