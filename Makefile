@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race-gate lint lint-escape fmt-check perfbench-check bench bench-serve bench-drc bench-route alloc-gate fmt
+.PHONY: all tier1 tier2 race-gate lint lint-escape fmt-check fuzz-smoke perfbench-check bench bench-serve bench-drc bench-route alloc-gate fmt
 
 all: tier1
 
@@ -47,6 +47,15 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Short native-fuzzing pass over the Delaunay triangulator: arbitrary
+# lattice point sets (duplicates, collinear runs, cocircular rings) must
+# either fail with an error or yield a mesh whose topology, Delaunay
+# property and edge tables hold. The seed corpus lives in
+# internal/dt/testdata/fuzz/FuzzTriangulate; a crasher found here becomes
+# a permanent seed there.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzTriangulate -fuzztime 20s ./internal/dt/
+
 # perfbench/ is its own Go module, so neither tier1 nor tier2 builds it.
 # This vets and self-tests the benchmark harness against the router API it
 # compiles against.
@@ -69,17 +78,17 @@ bench-drc:
 	BENCH_DRC_OUT=$(CURDIR)/BENCH_drc.json \
 		$(GO) test -run '^$$' -bench BenchmarkDRC -benchmem ./internal/detail/
 
-# Routing hot path: global A*/rip-up and detailed routing per dense case,
-# plus the K=3 ordering-portfolio race end to end. Writes ns/op, allocs/op
-# and B/op to BENCH_route.json — the allocation counts are the
-# zero-allocation A* regression gate. Global entries also carry
+# Routing hot path: the routing-graph build, global A*/rip-up and detailed
+# routing per dense case, plus the K=3 ordering-portfolio race end to end.
+# Writes ns/op, allocs/op and B/op to BENCH_route.json — the allocation
+# counts are the allocation regression gate. Global entries also carry
 # speedup_vs_serial (default Parallelism vs the serial reference; both
 # produce byte-identical results; the speedup is null with a note on
 # 1-CPU hosts). Portfolio entries carry per-strategy
 # scores, the winner and beats_rudy.
 bench-route:
 	BENCH_ROUTE_OUT=$(CURDIR)/BENCH_route.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkGlobalRoute|BenchmarkDetailRoute|BenchmarkPortfolioRoute' -benchmem .
+		$(GO) test -run '^$$' -bench 'BenchmarkGraphBuild|BenchmarkGlobalRoute|BenchmarkDetailRoute|BenchmarkPortfolioRoute' -benchmem .
 
 # Allocation regression gate, locally runnable: a one-iteration pass over
 # the routing benchmarks (allocs/op is exact even at -benchtime=1x since
@@ -90,7 +99,7 @@ bench-route:
 alloc-gate:
 	rm -f $(CURDIR)/.bench_route_smoke.json
 	BENCH_ROUTE_OUT=$(CURDIR)/.bench_route_smoke.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkGlobalRoute|BenchmarkDetailRoute' -benchtime=1x .
+		$(GO) test -run '^$$' -bench 'BenchmarkGraphBuild|BenchmarkGlobalRoute|BenchmarkDetailRoute' -benchtime=1x .
 	$(GO) run ./cmd/allocgate -in $(CURDIR)/.bench_route_smoke.json
 
 fmt:

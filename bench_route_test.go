@@ -1,9 +1,11 @@
-// Routing hot-path benchmarks: the global-routing stage (crossing-aware A*
-// with rip-up rounds) and the detailed-routing stage (DP adjustment + tile
-// fit routing), isolated per dense benchmark. `make bench-route` runs them
-// and writes BENCH_route.json with ns/op, B/op, allocs/op and the host CPU
-// count, so the allocation trajectory of the hot path is tracked next to the
-// wall-clock one (on a 1-CPU host the allocation columns are the signal).
+// Routing hot-path benchmarks: the routing-graph build (per-layer Delaunay
+// meshes plus nodes, links and tiles), the global-routing stage
+// (crossing-aware A* with rip-up rounds) and the detailed-routing stage (DP
+// adjustment + tile fit routing), isolated per dense benchmark. `make
+// bench-route` runs them and writes BENCH_route.json with ns/op, B/op,
+// allocs/op and the host CPU count, so the allocation trajectory of the hot
+// path is tracked next to the wall-clock one (on a 1-CPU host the
+// allocation columns are the signal).
 package rdlroute_test
 
 import (
@@ -125,8 +127,37 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// builtCase caches the design, via plan and routing graph per dense case so
-// the global and detail benchmarks share one build.
+// plannedCase caches the design and via plan per dense case, the inputs of
+// the graph build.
+var plannedCase = func() func(tb testing.TB, name string) (*design.Design, *viaplan.Plan) {
+	type planned struct {
+		d    *design.Design
+		plan *viaplan.Plan
+	}
+	var mu sync.Mutex
+	cache := map[string]planned{}
+	return func(tb testing.TB, name string) (*design.Design, *viaplan.Plan) {
+		tb.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if p, ok := cache[name]; ok {
+			return p.d, p.plan
+		}
+		d, err := design.GenerateDense(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plan, err := viaplan.Build(d, viaplan.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cache[name] = planned{d, plan}
+		return d, plan
+	}
+}()
+
+// builtCase caches the routing graph per dense case so the global and
+// detail benchmarks share one build.
 var builtCase = func() func(tb testing.TB, name string) *rgraph.Graph {
 	var mu sync.Mutex
 	cache := map[string]*rgraph.Graph{}
@@ -137,14 +168,7 @@ var builtCase = func() func(tb testing.TB, name string) *rgraph.Graph {
 		if g, ok := cache[name]; ok {
 			return g
 		}
-		d, err := design.GenerateDense(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		plan, err := viaplan.Build(d, viaplan.Options{})
-		if err != nil {
-			tb.Fatal(err)
-		}
+		d, plan := plannedCase(tb, name)
 		g, err := rgraph.Build(d, plan, rgraph.Options{})
 		if err != nil {
 			tb.Fatal(err)
@@ -180,6 +204,23 @@ func measureLoop(b *testing.B, name, stage, cse string, fn func()) {
 		"n":             b.N,
 		"cpus":          runtime.GOMAXPROCS(0),
 	})
+}
+
+// BenchmarkGraphBuild measures the routing-graph build alone: each op
+// triangulates every wire layer of a cached via plan and builds the nodes,
+// links, adjacency and tiles over the meshes. Rows land in BENCH_route.json
+// as rgraph/denseN.
+func BenchmarkGraphBuild(b *testing.B) {
+	for _, name := range design.DenseNames() {
+		b.Run(name, func(b *testing.B) {
+			d, plan := plannedCase(b, name)
+			measureLoop(b, "rgraph/"+name, "rgraph", name, func() {
+				if _, err := rgraph.Build(d, plan, rgraph.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkGlobalRoute measures the global-routing stage alone: the graph is

@@ -66,7 +66,7 @@ func TestGateFailsOnMissingRow(t *testing.T) {
 }
 
 // TestBudgetsCoverEveryDenseDetailRow pins that the gate covers the whole
-// dense suite for both gated stages — adding a dense case without extending
+// dense suite for every gated stage — adding a dense case without extending
 // the gate is the regression this test exists to catch.
 func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
 	want := []string{"dense1", "dense2", "dense3", "dense4", "dense5"}
@@ -80,6 +80,9 @@ func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
 		}
 		if !have["global/"+c+"/serial"] {
 			t.Errorf("no global serial budget for %s", c)
+		}
+		if !have["rgraph/"+c] {
+			t.Errorf("no graph-build budget for %s", c)
 		}
 	}
 }

@@ -1,17 +1,18 @@
 package dt
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"rdlroute/internal/geom"
 )
 
 // wtri is a working triangle during incremental construction.
 type wtri struct {
-	v     [3]int
-	n     [3]int // neighbour across edge opposite v[i]; -1 = none
+	v     [3]int32
+	n     [3]int32 // neighbour across edge opposite v[i]; -1 = none
 	alive bool
 }
 
@@ -20,26 +21,32 @@ type bowyerWatson struct {
 	inputIdx []int        // input index -> vertex index
 	nReal    int          // number of real (non-super) vertices
 	tris     []wtri
-	lastTri  int // walk hint
+	lastTri  int32 // walk hint
 
-	// Scratch buffers reused across insertions.
-	badSet map[int]bool
-	stack  []int
+	// Scratch reused across insertions. badGen[t] == gen marks triangle t
+	// as part of the current cavity; bumping gen clears every mark at once.
+	badGen   []uint32
+	gen      uint32
+	cavity   []int32
+	stack    []int32
+	boundary []boundaryEdge
+	// startAt[x] / endAt[x] hold the new fan triangle whose boundary edge
+	// starts / ends at vertex x. Entries below the current insertion's
+	// first new triangle are stale from earlier insertions.
+	startAt, endAt []int32
 }
 
 func newBowyerWatson(points []geom.Point) *bowyerWatson {
-	bw := &bowyerWatson{badSet: make(map[int]bool)}
-	seen := make(map[geom.Point]int, len(points))
+	bw := &bowyerWatson{}
+	first := firstEqual(points)
 	bw.inputIdx = make([]int, len(points))
 	for i, p := range points {
-		if j, ok := seen[p]; ok {
-			bw.inputIdx[i] = j
+		if f := int(first[i]); f != i {
+			bw.inputIdx[i] = bw.inputIdx[f]
 			continue
 		}
-		idx := len(bw.pts)
-		seen[p] = idx
+		bw.inputIdx[i] = len(bw.pts)
 		bw.pts = append(bw.pts, p)
-		bw.inputIdx[i] = idx
 	}
 	bw.nReal = len(bw.pts)
 
@@ -59,10 +66,44 @@ func newBowyerWatson(points []geom.Point) *bowyerWatson {
 		geom.Pt(c.X+2*m, c.Y-m),
 		geom.Pt(c.X, c.Y+2*m),
 	)
-	s0, s1, s2 := bw.nReal, bw.nReal+1, bw.nReal+2
-	bw.tris = append(bw.tris, wtri{v: [3]int{s0, s1, s2}, n: [3]int{-1, -1, -1}, alive: true})
+	s0, s1, s2 := int32(bw.nReal), int32(bw.nReal+1), int32(bw.nReal+2)
+	bw.tris = append(bw.tris, wtri{v: [3]int32{s0, s1, s2}, n: [3]int32{-1, -1, -1}, alive: true})
+	bw.badGen = append(bw.badGen, 0)
 	// pts[] for super triangle chosen CCW already: (-2m,-m),(2m,-m),(0,2m).
+	bw.startAt = make([]int32, len(bw.pts))
+	bw.endAt = make([]int32, len(bw.pts))
 	return bw
+}
+
+// firstEqual returns, for each input point, the lowest input index holding
+// an equal point (its own index when it is the first). Equal points are
+// found by sorting, not hashing.
+func firstEqual(points []geom.Point) []int32 {
+	order := make([]int32, len(points))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	cmpPt := func(a, b geom.Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Y, b.Y)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		if c := cmpPt(points[i], points[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	first := make([]int32, len(points))
+	for k, i := range order {
+		if k > 0 && cmpPt(points[order[k-1]], points[i]) == 0 {
+			first[i] = first[order[k-1]]
+		} else {
+			first[i] = i
+		}
+	}
+	return first
 }
 
 // errDegenerate signals an insertion the algorithm could not complete.
@@ -70,7 +111,7 @@ var errDegenerate = errors.New("dt: degenerate configuration during insertion")
 
 func (bw *bowyerWatson) run() error {
 	for v := 0; v < bw.nReal; v++ {
-		if err := bw.insert(v); err != nil {
+		if err := bw.insert(int32(v)); err != nil {
 			return err
 		}
 	}
@@ -79,13 +120,13 @@ func (bw *bowyerWatson) run() error {
 
 // locate walks from the hint triangle toward p and returns the index of an
 // alive triangle containing p.
-func (bw *bowyerWatson) locate(p geom.Point) int {
+func (bw *bowyerWatson) locate(p geom.Point) int32 {
 	t := bw.lastTri
-	if t < 0 || t >= len(bw.tris) || !bw.tris[t].alive {
+	if t < 0 || int(t) >= len(bw.tris) || !bw.tris[t].alive {
 		t = -1
 		for i := len(bw.tris) - 1; i >= 0; i-- {
 			if bw.tris[i].alive {
-				t = i
+				t = int32(i)
 				break
 			}
 		}
@@ -123,18 +164,26 @@ func (bw *bowyerWatson) locate(p geom.Point) int {
 			continue
 		}
 		if geom.PointInTriangle(p, bw.pts[tr.v[0]], bw.pts[tr.v[1]], bw.pts[tr.v[2]]) {
-			return i
+			return int32(i)
 		}
 	}
 	return -1
 }
 
 type boundaryEdge struct {
-	a, b    int // directed per the dead triangle's CCW winding
-	outside int // triangle index across the edge, or -1
+	a, b    int32 // directed per the dead triangle's CCW winding
+	outside int32 // triangle index across the edge, or -1
 }
 
-func (bw *bowyerWatson) insert(v int) error {
+// markBad adds triangle t to the current cavity.
+func (bw *bowyerWatson) markBad(t int32) {
+	bw.badGen[t] = bw.gen
+	bw.cavity = append(bw.cavity, t)
+}
+
+func (bw *bowyerWatson) isBad(t int32) bool { return bw.badGen[t] == bw.gen }
+
+func (bw *bowyerWatson) insert(v int32) error {
 	p := bw.pts[v]
 	seed := bw.locate(p)
 	if seed == -1 {
@@ -142,11 +191,9 @@ func (bw *bowyerWatson) insert(v int) error {
 	}
 
 	// Grow the cavity: connected triangles whose circumcircle contains p.
-	bad := bw.badSet
-	for k := range bad {
-		delete(bad, k)
-	}
-	bad[seed] = true
+	bw.gen++ // one per insertion: vertex indices are int32, so it never wraps
+	bw.cavity = bw.cavity[:0]
+	bw.markBad(seed)
 	bw.stack = append(bw.stack[:0], seed)
 	// If p lies on an edge of the seed triangle, the neighbour across that
 	// edge must join the cavity even when the tolerant in-circle predicate
@@ -155,8 +202,8 @@ func (bw *bowyerWatson) insert(v int) error {
 	for i := 0; i < 3; i++ {
 		a := bw.pts[st.v[(i+1)%3]]
 		b := bw.pts[st.v[(i+2)%3]]
-		if geom.Orient(a, b, p) == geom.Collinear && st.n[i] != -1 && !bad[st.n[i]] {
-			bad[st.n[i]] = true
+		if geom.Orient(a, b, p) == geom.Collinear && st.n[i] != -1 && !bw.isBad(st.n[i]) {
+			bw.markBad(st.n[i])
 			bw.stack = append(bw.stack, st.n[i])
 		}
 	}
@@ -166,12 +213,12 @@ func (bw *bowyerWatson) insert(v int) error {
 		tr := bw.tris[t]
 		for i := 0; i < 3; i++ {
 			nb := tr.n[i]
-			if nb == -1 || bad[nb] {
+			if nb == -1 || bw.isBad(nb) {
 				continue
 			}
 			nt := bw.tris[nb]
 			if geom.InCircle(bw.pts[nt.v[0]], bw.pts[nt.v[1]], bw.pts[nt.v[2]], p) {
-				bad[nb] = true
+				bw.markBad(nb)
 				bw.stack = append(bw.stack, nb)
 			}
 		}
@@ -182,21 +229,16 @@ func (bw *bowyerWatson) insert(v int) error {
 	// zero-area triangle). The cavity is walked in sorted index order so the
 	// resulting triangle numbering — and with it every downstream node ID —
 	// is deterministic run to run.
-	var boundary []boundaryEdge
-	var cavity []int
+	boundary := bw.boundary[:0]
 	for guard := 0; guard < len(bw.tris)+8; guard++ {
-		cavity = cavity[:0]
-		for t := range bad {
-			cavity = append(cavity, t)
-		}
-		sort.Ints(cavity)
+		slices.Sort(bw.cavity)
 		boundary = boundary[:0]
 		grew := false
-		for _, t := range cavity {
+		for _, t := range bw.cavity {
 			tr := bw.tris[t]
 			for i := 0; i < 3; i++ {
 				nb := tr.n[i]
-				if nb != -1 && bad[nb] {
+				if nb != -1 && bw.isBad(nb) {
 					continue
 				}
 				a, b := tr.v[(i+1)%3], tr.v[(i+2)%3]
@@ -204,7 +246,7 @@ func (bw *bowyerWatson) insert(v int) error {
 					if nb == -1 {
 						return errDegenerate
 					}
-					bad[nb] = true
+					bw.markBad(nb)
 					grew = true
 					break
 				}
@@ -218,33 +260,33 @@ func (bw *bowyerWatson) insert(v int) error {
 			break
 		}
 	}
+	bw.boundary = boundary
 	if len(boundary) < 3 {
 		return errDegenerate
 	}
 
 	// Kill cavity triangles.
-	for t := range bad {
+	for _, t := range bw.cavity {
 		bw.tris[t].alive = false
 	}
 
 	// Create the fan of new triangles around p and stitch adjacency.
-	type key struct{ a, b int }
-	newAt := make(map[key]int, len(boundary))
-	first := len(bw.tris)
+	first := int32(len(bw.tris))
 	for _, be := range boundary {
-		idx := len(bw.tris)
+		idx := int32(len(bw.tris))
 		// Vertices [p, a, b]: CCW because the dead triangle was CCW and p
 		// lies on its interior side of a→b.
 		bw.tris = append(bw.tris, wtri{
-			v:     [3]int{v, be.a, be.b},
-			n:     [3]int{be.outside, -1, -1},
+			v:     [3]int32{v, be.a, be.b},
+			n:     [3]int32{be.outside, -1, -1},
 			alive: true,
 		})
+		bw.badGen = append(bw.badGen, 0)
 		// Fix the outside triangle's back pointer.
 		if be.outside != -1 {
 			ot := &bw.tris[be.outside]
 			for i := 0; i < 3; i++ {
-				if ot.n[i] != -1 && bad[ot.n[i]] {
+				if ot.n[i] != -1 && bw.isBad(ot.n[i]) {
 					// Check this slot is the shared edge (a,b).
 					oa, ob := ot.v[(i+1)%3], ot.v[(i+2)%3]
 					if (oa == be.a && ob == be.b) || (oa == be.b && ob == be.a) {
@@ -253,23 +295,24 @@ func (bw *bowyerWatson) insert(v int) error {
 				}
 			}
 		}
-		newAt[key{be.a, be.b}] = idx
+		// A simple cavity boundary leaves and enters each vertex once.
+		if bw.startAt[be.a] >= first || bw.endAt[be.b] >= first {
+			return errDegenerate
+		}
+		bw.startAt[be.a] = idx
+		bw.endAt[be.b] = idx
 	}
 	// Link new triangles to each other across the spoke edges (p, x). For
 	// triangle [p, a, b]: edge opposite a is (b, p) — shared with the new
 	// triangle whose boundary edge starts at b; edge opposite b is (p, a) —
 	// shared with the one whose boundary edge ends at a.
-	for i := first; i < len(bw.tris); i++ {
+	for i := first; i < int32(len(bw.tris)); i++ {
 		tr := &bw.tris[i]
-		a, b := tr.v[1], tr.v[2]
-		for k, j := range newAt {
-			if k.a == b { // triangle [p, b, x] shares edge (p, b)
-				tr.n[1] = j
-			}
-			if k.b == a { // triangle [p, x, a] shares edge (p, a)
-				tr.n[2] = j
-			}
+		next, prev := bw.startAt[tr.v[2]], bw.endAt[tr.v[1]]
+		if next < first || prev < first {
+			return errDegenerate // the boundary is not a closed loop
 		}
+		tr.n[1], tr.n[2] = next, prev
 	}
 	bw.lastTri = first
 	return nil
@@ -327,7 +370,8 @@ func repairHull(m *Mesh) {
 // interior on its left, or nil when the boundary is not a single simple
 // loop.
 func boundaryLoop(m *Mesh) []int {
-	next := make(map[int]int)
+	next := make([]int32, len(m.Points)) // boundary successor + 1; 0 = none
+	edges := 0
 	start := -1
 	for _, t := range m.Tris {
 		for i := 0; i < 3; i++ {
@@ -336,10 +380,11 @@ func boundaryLoop(m *Mesh) []int {
 			}
 			from := t.V[(i+1)%3]
 			to := t.V[(i+2)%3]
-			if _, dup := next[from]; dup {
+			if next[from] != 0 {
 				return nil // non-manifold boundary; leave untouched
 			}
-			next[from] = to
+			next[from] = int32(to) + 1
+			edges++
 			start = from
 		}
 	}
@@ -347,13 +392,16 @@ func boundaryLoop(m *Mesh) []int {
 		return nil
 	}
 	loop := []int{start}
-	for v := next[start]; v != start; v = next[v] {
+	for v := int(next[start]) - 1; v != start; v = int(next[v]) - 1 {
+		if v < 0 {
+			return nil // broken cycle
+		}
 		loop = append(loop, v)
-		if len(loop) > len(next) {
+		if len(loop) > edges {
 			return nil // broken cycle
 		}
 	}
-	if len(loop) != len(next) {
+	if len(loop) != edges {
 		return nil // multiple loops
 	}
 	return loop
@@ -362,27 +410,12 @@ func boundaryLoop(m *Mesh) []int {
 // rebuildIndexes recomputes neighbour links and the incidence indexes from
 // the triangle vertex lists.
 func (m *Mesh) rebuildIndexes() {
-	m.edgeTris = make(map[Edge][2]int, 3*len(m.Tris)/2)
-	m.vertTris = make([][]int, len(m.Points))
-	for ti, t := range m.Tris {
-		for j := 0; j < 3; j++ {
-			m.vertTris[t.V[j]] = append(m.vertTris[t.V[j]], ti)
-			e := MakeEdge(t.V[j], t.V[(j+1)%3])
-			if cur, ok := m.edgeTris[e]; ok {
-				if cur[0] != ti && cur[1] == -1 {
-					cur[1] = ti
-					m.edgeTris[e] = cur
-				}
-			} else {
-				m.edgeTris[e] = [2]int{ti, -1}
-			}
-		}
-	}
+	m.index()
 	for ti := range m.Tris {
 		t := &m.Tris[ti]
 		for i := 0; i < 3; i++ {
-			e := MakeEdge(t.V[(i+1)%3], t.V[(i+2)%3])
-			ts := m.edgeTris[e]
+			// The edge opposite V[i] is slot (i+1)%3: V[i+1]–V[i+2].
+			ts := m.edgeTris[m.triEdge[ti][(i+1)%3]]
 			switch {
 			case ts[0] == ti:
 				t.N[i] = ts[1]
@@ -398,18 +431,16 @@ func (m *Mesh) rebuildIndexes() {
 // finish strips the super-triangle, compacts the mesh, and builds the
 // incidence indexes.
 func (bw *bowyerWatson) finish() (*Mesh, error) {
-	keep := make([]int, len(bw.tris)) // old index -> new index or -1
-	for i := range keep {
-		keep[i] = -1
-	}
-	var count int
+	keep := make([]int32, len(bw.tris)) // old index -> new index or -1
+	var count int32
 	for i, t := range bw.tris {
+		keep[i] = -1
 		if !t.alive {
 			continue
 		}
 		touchesSuper := false
 		for _, v := range t.v {
-			if v >= bw.nReal {
+			if int(v) >= bw.nReal {
 				touchesSuper = true
 			}
 		}
@@ -426,8 +457,6 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 		Points:      append([]geom.Point(nil), bw.pts[:bw.nReal]...),
 		InputVertex: bw.inputIdx,
 		Tris:        make([]Triangle, count),
-		edgeTris:    make(map[Edge][2]int),
-		vertTris:    make([][]int, bw.nReal),
 	}
 	for i, t := range bw.tris {
 		ni := keep[i]
@@ -435,30 +464,17 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 			continue
 		}
 		var out Triangle
-		out.V = t.v
 		for j := 0; j < 3; j++ {
+			out.V[j] = int(t.v[j])
 			if t.n[j] == -1 {
 				out.N[j] = -1
 			} else {
-				out.N[j] = keep[t.n[j]] // -1 if neighbour was super/dead
+				out.N[j] = int(keep[t.n[j]]) // -1 if neighbour was super/dead
 			}
 		}
 		m.Tris[ni] = out
 	}
-	for ti, t := range m.Tris {
-		for j := 0; j < 3; j++ {
-			m.vertTris[t.V[j]] = append(m.vertTris[t.V[j]], ti)
-			e := MakeEdge(t.V[j], t.V[(j+1)%3])
-			if cur, ok := m.edgeTris[e]; ok {
-				if cur[0] != ti && cur[1] == -1 {
-					cur[1] = ti
-					m.edgeTris[e] = cur
-				}
-			} else {
-				m.edgeTris[e] = [2]int{ti, -1}
-			}
-		}
-	}
+	m.index()
 	repairHull(m)
 	return m, nil
 }

@@ -14,7 +14,7 @@ package dt
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 
 	"rdlroute/internal/geom"
 )
@@ -51,6 +51,9 @@ func MakeEdge(a, b int) Edge {
 	return Edge{A: a, B: b}
 }
 
+// ErrNonFinite is returned when an input coordinate is NaN or infinite.
+var ErrNonFinite = errors.New("dt: non-finite point coordinate")
+
 // Mesh is a Delaunay triangulation result.
 type Mesh struct {
 	// Points is the deduplicated vertex set. Indices into it are the vertex
@@ -62,14 +65,26 @@ type Mesh struct {
 	// Tris holds the triangles of the final mesh.
 	Tris []Triangle
 
-	edgeTris map[Edge][2]int // each edge's 1 or 2 incident triangles (-1 pad)
-	vertTris [][]int         // vertex index -> incident triangle indices
+	// Vertex incidence in CSR form: the triangles of vertex v are
+	// vertTris[vertStart[v]:vertStart[v+1]], in ascending order.
+	vertStart []int32
+	vertTris  []int
+	// Edge k of the mesh, numbered in first-seen order over Tris, with its
+	// 1 or 2 incident triangles (-1 pad).
+	edges    []Edge
+	edgeTris [][2]int
+	// triEdge[t][i] is the edge index of triangle t's side V[i]–V[(i+1)%3].
+	triEdge [][3]int32
 }
 
 // Triangulate computes the Delaunay triangulation of the given points.
-// Duplicate points (within geom.Eps per coordinate after exact-key
-// bucketing) are merged.
+// Duplicate points (exactly equal coordinates) are merged.
 func Triangulate(points []geom.Point) (*Mesh, error) {
+	for _, p := range points {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return nil, ErrNonFinite
+		}
+	}
 	bw := newBowyerWatson(points)
 	if len(bw.pts)-3 < 3 { // minus the 3 super-triangle vertices
 		return nil, ErrTooFewPoints
@@ -80,37 +95,115 @@ func Triangulate(points []geom.Point) (*Mesh, error) {
 	return bw.finish()
 }
 
+// index builds the vertex incidence and the edge tables from Tris.
+func (m *Mesh) index() {
+	nv, nt := len(m.Points), len(m.Tris)
+	start := make([]int32, nv+1)
+	for _, t := range m.Tris {
+		for _, v := range t.V {
+			start[v+1]++
+		}
+	}
+	for v := 0; v < nv; v++ {
+		start[v+1] += start[v]
+	}
+	inc := make([]int, 3*nt)
+	for ti, t := range m.Tris {
+		for _, v := range t.V {
+			inc[start[v]] = ti
+			start[v]++
+		}
+	}
+	// The fill advanced each start to the next vertex's; shift back.
+	copy(start[1:], start[:nv])
+	start[0] = 0
+	m.vertStart, m.vertTris = start, inc
+
+	// A planar triangulation has nv + nt - 1 edges (Euler).
+	m.edges = make([]Edge, 0, nv+nt)
+	m.edgeTris = make([][2]int, 0, nv+nt)
+	m.triEdge = make([][3]int32, nt)
+	for ti, t := range m.Tris {
+		for j := 0; j < 3; j++ {
+			e := MakeEdge(t.V[j], t.V[(j+1)%3])
+			k := m.findEdge(e, ti, j)
+			if k == -1 {
+				k = len(m.edges)
+				m.edges = append(m.edges, e)
+				m.edgeTris = append(m.edgeTris, [2]int{ti, -1})
+			} else if cur := &m.edgeTris[k]; cur[0] != ti && cur[1] == -1 {
+				cur[1] = ti
+			}
+			m.triEdge[ti][j] = int32(k)
+		}
+	}
+}
+
+// findEdge returns the index of edge e among the sides already numbered —
+// every side of the triangles before ti and sides 0..j-1 of ti — or -1. It
+// scans the triangles incident to e.A.
+func (m *Mesh) findEdge(e Edge, ti, j int) int {
+	for _, tj := range m.VertexTriangles(e.A) {
+		if tj > ti {
+			break
+		}
+		sides := 3
+		if tj == ti {
+			sides = j
+		}
+		t := &m.Tris[tj]
+		for s := 0; s < sides; s++ {
+			if MakeEdge(t.V[s], t.V[(s+1)%3]) == e {
+				return int(m.triEdge[tj][s])
+			}
+		}
+	}
+	return -1
+}
+
+// EdgeIndex returns the index of edge e in Edges(), and reports whether the
+// edge exists in the mesh.
+func (m *Mesh) EdgeIndex(e Edge) (int, bool) {
+	if e.A < 0 || e.A > e.B || e.B >= len(m.Points) {
+		return -1, false
+	}
+	k := m.findEdge(e, len(m.Tris), 0)
+	return k, k != -1
+}
+
 // EdgeTriangles returns the one or two triangle indices incident to the
 // given undirected edge, and reports whether the edge exists in the mesh.
 // For a hull edge the second index is -1.
 func (m *Mesh) EdgeTriangles(e Edge) ([2]int, bool) {
-	t, ok := m.edgeTris[e]
-	return t, ok
-}
-
-// Edges returns all undirected edges of the mesh. The order is unspecified
-// but deterministic for a given mesh.
-func (m *Mesh) Edges() []Edge {
-	edges := make([]Edge, 0, len(m.edgeTris))
-	seen := make(map[Edge]bool, len(m.edgeTris))
-	for _, t := range m.Tris {
-		for i := 0; i < 3; i++ {
-			e := MakeEdge(t.V[i], t.V[(i+1)%3])
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-			}
-		}
+	k, ok := m.EdgeIndex(e)
+	if !ok {
+		return [2]int{}, false
 	}
-	return edges
+	return m.edgeTris[k], true
 }
 
-// VertexTriangles returns the indices of all triangles incident to vertex v.
+// EdgeTrianglesAt returns the one or two triangles incident to edge k of
+// Edges(); the second is -1 on the hull.
+func (m *Mesh) EdgeTrianglesAt(k int) [2]int { return m.edgeTris[k] }
+
+// Edges returns all undirected edges of the mesh, numbered in the order
+// they are first seen walking Tris and each triangle's sides V[i]–V[i+1].
+// The slice is the mesh's own edge table: callers must treat it as
+// read-only.
+func (m *Mesh) Edges() []Edge { return m.edges }
+
+// TriEdge returns the Edges() indices of triangle t's sides, in the order
+// of TriangleEdges: side i joins V[i] and V[(i+1)%3].
+func (m *Mesh) TriEdge(t int) [3]int32 { return m.triEdge[t] }
+
+// VertexTriangles returns the indices of all triangles incident to vertex v,
+// in ascending order. The slice aliases the mesh: callers must not modify
+// it.
 func (m *Mesh) VertexTriangles(v int) []int {
-	if v < 0 || v >= len(m.vertTris) {
+	if v < 0 || v >= len(m.Points) {
 		return nil
 	}
-	return m.vertTris[v]
+	return m.vertTris[m.vertStart[v]:m.vertStart[v+1]:m.vertStart[v+1]]
 }
 
 // TriangleEdges returns the three undirected edges of triangle t.
@@ -197,33 +290,20 @@ func (m *Mesh) CheckTopology() error {
 			}
 		}
 	}
-	// Check edge incidence in sorted edge order, not map order: with more
-	// than one inconsistency the reported error should not change run to
-	// run (the mapiter analyzer rejects loop-dependent returns out of map
-	// ranges).
-	edges := make([]Edge, 0, len(m.edgeTris))
-	for e := range m.edgeTris {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
-	})
-	for _, e := range edges {
-		for _, ti := range m.edgeTris[e] {
+	// Edge incidence, in edge-index order.
+	for k, ts := range m.edgeTris {
+		for _, ti := range ts {
 			if ti == -1 {
 				continue
 			}
 			found := false
 			for _, ee := range m.TriangleEdges(ti) {
-				if ee == e {
+				if ee == m.edges[k] {
 					found = true
 				}
 			}
 			if !found {
-				return fmt.Errorf("dt: edge %v lists triangle %d which lacks it", e, ti)
+				return fmt.Errorf("dt: edge %v lists triangle %d which lacks it", m.edges[k], ti)
 			}
 		}
 	}

@@ -77,6 +77,13 @@ func TestTriangulateErrors(t *testing.T) {
 	if _, err := Triangulate(col); err != ErrAllCollinear {
 		t.Errorf("collinear: err = %v", err)
 	}
+	// Non-finite coordinates are rejected before any geometry runs.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 10), geom.Pt(bad, 5)}
+		if _, err := Triangulate(pts); err != ErrNonFinite {
+			t.Errorf("coordinate %v: err = %v", bad, err)
+		}
+	}
 }
 
 func TestTriangulateDuplicates(t *testing.T) {

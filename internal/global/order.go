@@ -106,9 +106,10 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 		// comparator that used to live here, so this is byte-identical to
 		// the pre-portfolio sort.
 		strat = portfolio.RUDY{}
-	} else {
-		// The pairwise interaction signal is only built for configured
-		// strategies; RUDY never reads it.
+	}
+	if _, ok := strat.(portfolio.Congestion); ok {
+		// The pairwise interaction signal is only built for the one
+		// strategy that reads it.
 		m.Conflicts = r.conflictPairs(density)
 	}
 	order = strat.Order(ctx, m)

@@ -130,3 +130,19 @@ func TestConflictPairsCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestConflictsBuiltOnlyForCongestion pins that the pairwise conflict
+// signal is computed only for the strategy that reads it.
+func TestConflictsBuiltOnlyForCongestion(t *testing.T) {
+	for _, name := range portfolio.Names() {
+		strat, err := portfolio.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := buildRouter(t, "dense3", rgraph.Options{}, Options{Order: strat})
+		r.initialOrder(context.Background())
+		if got, want := len(r.orderModel.Conflicts) > 0, name == "congestion"; got != want {
+			t.Errorf("%s: conflicts built = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -17,7 +17,7 @@ func findInteriorEdge(t *testing.T, r *Router) (rgraph.NodeID, [2]int, [2]int) {
 		if !ok || tris[1] == -1 {
 			continue
 		}
-		en := lg.EdgeNode[e]
+		en := lg.EdgeNode(e)
 		if r.G.Node(en).Cap < 2 {
 			continue
 		}
@@ -102,7 +102,7 @@ func TestRefineDiagonalReducesCapacityAndReroutes(t *testing.T) {
 		if !ok || ts[1] == -1 {
 			continue
 		}
-		en := lg.EdgeNode[e]
+		en := lg.EdgeNode(e)
 		if r.nodeUse[en] == 0 {
 			continue
 		}

@@ -41,7 +41,8 @@ type Model struct {
 	PinDist []float64
 	// Conflicts lists net pairs whose seed paths share congested tiles,
 	// sorted by (A, B) with A < B. It is the pairwise interaction signal
-	// the congestion strategy uses.
+	// the congestion strategy uses; the global router builds it only when
+	// that strategy orders the nets.
 	Conflicts []Conflict
 }
 

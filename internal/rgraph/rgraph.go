@@ -126,8 +126,20 @@ type LayerGraph struct {
 	Mesh     *dt.Mesh
 	Verts    []viaplan.Vertex // aligned with Mesh.Points
 	VertNode []NodeID         // mesh vertex -> via node
-	EdgeNode map[dt.Edge]NodeID
+	// EdgeBase is the node ID of the first edge node: the edge node of
+	// Mesh.Edges()[k] is EdgeBase + k.
+	EdgeBase NodeID
 	Tiles    []Tile // aligned with Mesh.Tris
+}
+
+// EdgeNode returns the edge node of mesh edge e, or Invalid when e is not
+// an edge of the layer's mesh.
+func (lg *LayerGraph) EdgeNode(e dt.Edge) NodeID {
+	k, ok := lg.Mesh.EdgeIndex(e)
+	if !ok {
+		return Invalid
+	}
+	return lg.EdgeBase + NodeID(k)
 }
 
 // Graph is the complete multi-layer routing graph.
@@ -246,10 +258,9 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		Opt:     opt,
 	}
 
-	// Per-layer meshes and nodes. A pin's via capacity is the number of
-	// subnets terminating at it (multi-pin groups share pads).
-	padNetCount := d.PadNetCount()
-	viaNodes := make(map[[2]int]NodeID) // (viaID, wire layer) -> node
+	// Triangulate every wire layer first so the node array is sized once:
+	// one via node per mesh vertex plus one edge node per mesh edge.
+	nodes := 0
 	for li := range plan.Layers {
 		lp := plan.Layers[li]
 		pts := make([]geom.Point, len(lp.Verts))
@@ -260,10 +271,25 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rgraph: layer %d: %w", li, err)
 		}
+		g.Layers[li] = LayerGraph{Index: li, Mesh: mesh}
+		nodes += len(mesh.Points) + len(mesh.Edges())
+	}
+	g.Nodes = make([]Node, 0, nodes)
+
+	// Per-layer nodes. A pin's via capacity is the number of subnets
+	// terminating at it (multi-pin groups share pads).
+	padNetCount := d.PadNetCount()
+	// viaNode[id] holds via id's node on its lower and upper wire layer
+	// (viaplan numbers vias by their position in plan.Vias).
+	viaNode := make([][2]NodeID, len(plan.Vias))
+	for i := range viaNode {
+		viaNode[i] = [2]NodeID{Invalid, Invalid}
+	}
+	clearance := d.Rules.Pitch()
+	for li := range g.Layers {
+		lp := plan.Layers[li]
 		lg := &g.Layers[li]
-		lg.Index = li
-		lg.Mesh = mesh
-		lg.EdgeNode = make(map[dt.Edge]NodeID)
+		mesh := lg.Mesh
 
 		// Align vertex metadata with the (deduplicated) mesh vertex set.
 		lg.Verts = make([]viaplan.Vertex, len(mesh.Points))
@@ -299,36 +325,35 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 			if meta.Kind == viaplan.KindPin {
 				g.PinNode[meta.Ref] = id
 			}
-			if meta.Kind == viaplan.KindVia {
-				viaNodes[[2]int{meta.Ref, li}] = id
+			if r := meta.Ref; meta.Kind == viaplan.KindVia && r >= 0 && r < len(viaNode) {
+				if side := li - plan.Vias[r].Layer; side == 0 || side == 1 {
+					viaNode[r][side] = id
+				}
 			}
 		}
 
-		// Edge nodes, one per mesh edge (deterministic order). Blocking is
+		// Edge nodes, one per mesh edge in Edges() order. Blocking is
 		// tile-conservative: an edge carries no wires when it enters a
 		// keep-out OR when either incident tile overlaps one — detailed
 		// geometry (access points, fit detours) may wander anywhere inside
 		// a tile, so partially covered tiles cannot be trusted.
-		clearance := d.Rules.Pitch()
 		blockedTri := make([]bool, len(mesh.Tris))
 		for ti, tri := range mesh.Tris {
 			blockedTri[ti] = triangleBlocked(d, li, clearance,
 				mesh.Points[tri.V[0]], mesh.Points[tri.V[1]], mesh.Points[tri.V[2]])
 		}
-		for _, e := range mesh.Edges() {
+		lg.EdgeBase = NodeID(len(g.Nodes))
+		for k, e := range mesh.Edges() {
 			a, b := mesh.Points[e.A], mesh.Points[e.B]
 			capE := EffectiveEdgeCapacity(a, b, d.Rules)
 			if d.SegmentBlocked(geom.Seg(a, b), li, clearance) {
 				capE = 0
 			}
-			if ts, ok := mesh.EdgeTriangles(e); ok {
-				for _, ti := range ts {
-					if ti != -1 && blockedTri[ti] {
-						capE = 0
-					}
+			for _, ti := range mesh.EdgeTrianglesAt(k) {
+				if ti != -1 && blockedTri[ti] {
+					capE = 0
 				}
 			}
-			id := NodeID(len(g.Nodes))
 			g.Nodes = append(g.Nodes, Node{
 				Kind:  EdgeNode,
 				Layer: li,
@@ -338,28 +363,39 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 				EndA:  a,
 				EndB:  b,
 			})
-			lg.EdgeNode[e] = id
 		}
 	}
 
-	g.Adj = make([][]Adjacent, len(g.Nodes))
+	// Size the links exactly: one cross-via link per candidate via, and per
+	// tile three cross-tile links plus one access-via link per accessible
+	// corner.
+	links := len(plan.Vias)
+	for li := range g.Layers {
+		lg := &g.Layers[li]
+		for ti, tri := range lg.Mesh.Tris {
+			te := lg.Mesh.TriEdge(ti)
+			links += 3
+			for i := 0; i < 3; i++ {
+				if g.accessible(li, lg.VertNode[tri.V[i]], lg.EdgeBase+NodeID(te[(i+1)%3]), clearance) {
+					links++
+				}
+			}
+		}
+	}
+	g.Links = make([]Link, 0, links)
 	addLink := func(l Link) int {
 		l.ID = len(g.Links)
 		g.Links = append(g.Links, l)
-		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: l.ID, To: l.B})
-		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: l.ID, To: l.A})
 		return l.ID
 	}
 
 	// Cross-via links: the two nodes of each candidate via.
 	for _, v := range plan.Vias {
-		a, okA := viaNodes[[2]int{v.ID, v.Layer}]
-		b, okB := viaNodes[[2]int{v.ID, v.Layer + 1}]
-		if !okA || !okB {
+		if v.ID < 0 || v.ID >= len(viaNode) || viaNode[v.ID][0] == Invalid || viaNode[v.ID][1] == Invalid {
 			return nil, fmt.Errorf("rgraph: via %d missing a layer node", v.ID)
 		}
-		addLink(Link{Kind: CrossVia, A: a, B: b, Cap: 1, Layer: v.Layer, Tile: -1,
-			Corner: -1, Len: viaCost})
+		addLink(Link{Kind: CrossVia, A: viaNode[v.ID][0], B: viaNode[v.ID][1], Cap: 1,
+			Layer: v.Layer, Tile: -1, Corner: -1, Len: viaCost})
 	}
 
 	// Per-tile access-via and cross-tile links.
@@ -369,23 +405,16 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		lg.Tiles = make([]Tile, len(mesh.Tris))
 		for ti, tri := range mesh.Tris {
 			t := Tile{Layer: li, Tri: ti, Verts: tri.V}
+			te := mesh.TriEdge(ti)
 			for i := 0; i < 3; i++ {
 				t.ViaNodes[i] = lg.VertNode[tri.V[i]]
-				e := dt.MakeEdge(tri.V[i], tri.V[(i+1)%3])
-				t.EdgeNodes[i] = lg.EdgeNode[e]
+				t.EdgeNodes[i] = lg.EdgeBase + NodeID(te[i])
 			}
-			// Access-via: each corner to the opposite edge node. Chords
-			// that would carry the wire through an in-tile keep-out are
-			// blocked (cap 0 would not stop the search since links use
-			// their own capacity; simply skip them).
-			clearance := d.Rules.Pitch()
+			// Access-via: each corner to the opposite edge node.
 			for i := 0; i < 3; i++ {
 				vn := t.ViaNodes[i]
-				if g.Nodes[vn].Cap == 0 {
-					continue // bumps and dummies carry no via access
-				}
 				opp := t.EdgeNodes[(i+1)%3] // edge (i+1, i+2) is opposite corner i
-				if d.SegmentBlocked(geom.Seg(g.Nodes[vn].Pos, g.Nodes[opp].Pos), li, clearance) {
+				if !g.accessible(li, vn, opp, clearance) {
 					continue
 				}
 				addLink(Link{Kind: AccessVia, A: vn, B: opp, Cap: 1,
@@ -416,6 +445,7 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 			lg.Tiles[ti] = t
 		}
 	}
+	g.Adj = adjacency(len(g.Nodes), g.Links)
 	if rec := obs.Or(opt.Rec); rec.Enabled() {
 		s := g.Stats()
 		rec.Count("rgraph.via_nodes", int64(s.ViaNodes))
@@ -423,6 +453,43 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		rec.Count("rgraph.links", int64(len(g.Links)))
 	}
 	return g, nil
+}
+
+// accessible reports whether via node vn gets an access-via link to edge
+// node opp. Bumps and dummies (capacity 0) carry no via access, and a chord
+// that would carry the wire through an in-tile keep-out is skipped: cap 0
+// would not stop the search since links use their own capacity.
+func (g *Graph) accessible(layer int, vn, opp NodeID, clearance float64) bool {
+	v, e := &g.Nodes[vn], &g.Nodes[opp]
+	return v.Cap > 0 && !g.Design.SegmentBlocked(geom.Seg(v.Pos, e.Pos), layer, clearance)
+}
+
+// adjacency builds the per-node adjacency lists in link order. All lists
+// carve one backing array as full-capacity sub-slices sized by node
+// degree, so filling them never reallocates and an append can never bleed
+// into a neighbour's region. Nodes without links keep a nil list.
+func adjacency(n int, links []Link) [][]Adjacent {
+	start := make([]int32, n+1)
+	for i := range links {
+		start[links[i].A+1]++
+		start[links[i].B+1]++
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	backing := make([]Adjacent, start[n])
+	adj := make([][]Adjacent, n)
+	for i := range adj {
+		if lo, hi := start[i], start[i+1]; hi > lo {
+			adj[i] = backing[lo:lo:hi]
+		}
+	}
+	for i := range links {
+		l := &links[i]
+		adj[l.A] = append(adj[l.A], Adjacent{Link: l.ID, To: l.B})
+		adj[l.B] = append(adj[l.B], Adjacent{Link: l.ID, To: l.A})
+	}
+	return adj
 }
 
 // Node returns the node with the given ID.

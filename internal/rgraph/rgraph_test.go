@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rdlroute/internal/design"
+	"rdlroute/internal/dt"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/viaplan"
 )
@@ -227,12 +228,19 @@ func TestTileBoundaryOrder(t *testing.T) {
 				if (en.Edge.A != a || en.Edge.B != b) && (en.Edge.A != b || en.Edge.B != a) {
 					t.Fatalf("tile %d edge %d joins %v, want {%d %d}", ti, i, en.Edge, a, b)
 				}
+				if got := lg.EdgeNode(en.Edge); got != tile.EdgeNodes[i] {
+					t.Fatalf("EdgeNode(%v) = %d, want tile %d's %d", en.Edge, got, ti, tile.EdgeNodes[i])
+				}
 				// CrossLinks[i] wraps corner Verts[i].
 				cl := g.Link(tile.CrossLinks[i])
 				if cl.Corner != tile.Verts[i] {
 					t.Fatalf("tile %d cross link %d corner = %d, want %d", ti, i, cl.Corner, tile.Verts[i])
 				}
 			}
+		}
+		// A vertex pair the mesh does not join has no edge node.
+		if got := lg.EdgeNode(dt.MakeEdge(0, len(lg.Mesh.Points))); got != Invalid {
+			t.Errorf("layer %d: EdgeNode of a non-edge = %d, want Invalid", lg.Index, got)
 		}
 	}
 }
