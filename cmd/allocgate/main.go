@@ -40,11 +40,11 @@ var budgets = []struct {
 	{"rgraph/dense3", 348},
 	{"rgraph/dense4", 354},
 	{"rgraph/dense5", 501},
-	{"global/dense1/serial", 1080},
-	{"global/dense2/serial", 2785},
-	{"global/dense3/serial", 3760},
-	{"global/dense4/serial", 5380},
-	{"global/dense5/serial", 18375},
+	{"global/dense1/serial", 974},
+	{"global/dense2/serial", 2611},
+	{"global/dense3/serial", 3479},
+	{"global/dense4/serial", 5024},
+	{"global/dense5/serial", 17452},
 	{"detail/dense1", 4850},
 	{"detail/dense2", 12200},
 	{"detail/dense3", 21500},

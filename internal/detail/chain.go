@@ -6,6 +6,7 @@
 package detail
 
 import (
+	"context"
 	"fmt"
 
 	"rdlroute/internal/geom"
@@ -102,6 +103,12 @@ type Detailer struct {
 	hopOff   []int32
 	hopPl    []geom.Polyline
 	failBuf  []*tilePassage
+	// tileUnits are the pool units over tileJobs (see buildTileUnits);
+	// tileCtx and tileScale are the context and clearance scale of the
+	// routeTiles call in flight, which the units read.
+	tileUnits []func() struct{}
+	tileCtx   context.Context
+	tileScale float64
 
 	// DP scratches reused across runDP calls (the adjustment pass is
 	// serial): the run's AP indices, flat candidate parameters with

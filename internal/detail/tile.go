@@ -122,6 +122,7 @@ func (d *Detailer) buildTileJobs() {
 		d.tileJobs[i] = jobs[k]
 		d.prepTileJob(jobs[k])
 	}
+	d.buildTileUnits()
 
 	// Flat (net, chainIdx) → polyline index replacing the per-attempt hops
 	// map: chain i owns the hop slots hopOff[i] .. hopOff[i+1]-1.
@@ -238,6 +239,29 @@ func (d *Detailer) prepTileJob(job *tileJob) {
 	}
 }
 
+// tileChunk is the number of consecutive tile jobs one pool unit routes.
+const tileChunk = 16
+
+// buildTileUnits carves the tile jobs into fixed-size chunks, one pool unit
+// each, built once per run: every routing attempt reuses them, so the units
+// cost the same allocations at every pool size and none on warm attempts.
+// The units read the attempt's context and clearance scale from the
+// Detailer (routeTiles sets them before running the pool).
+func (d *Detailer) buildTileUnits() {
+	d.tileUnits = d.tileUnits[:0]
+	for lo := 0; lo < len(d.tileJobs); lo += tileChunk {
+		jobs := d.tileJobs[lo:min(lo+tileChunk, len(d.tileJobs))]
+		d.tileUnits = append(d.tileUnits, func() struct{} {
+			for _, job := range jobs {
+				if !obs.Stopped(d.tileCtx) {
+					d.routeOneTile(job, d.tileScale)
+				}
+			}
+			return struct{}{}
+		})
+	}
+}
+
 // routeTiles performs tile routing over all tiles and stores the resulting
 // polylines into the flat hop index, returning the failed passages. The
 // scale parameter multiplies every pairwise clearance (>1 on retries).
@@ -250,32 +274,16 @@ func (d *Detailer) routeTiles(ctx context.Context, scale float64) []*tilePassage
 			p.failed = false
 		}
 	}
-	// One unit per tile: routeOneTile touches only its own job, and the
-	// shared Detailer state it reads — chains, access points, graph, rules —
-	// is frozen during tile routing, so tiles fan out freely across the
-	// pool. The merge below walks the jobs in their canonical order, making
-	// the hop index contents and the failure list independent of the pool
-	// size; a cancelled context skips un-started tiles, whose passages keep
-	// empty routes exactly like the serial path.
-	if workers := d.Opt.workers(); workers <= 1 {
-		for _, job := range d.tileJobs {
-			if !obs.Stopped(ctx) {
-				d.routeOneTile(job, scale)
-			}
-		}
-	} else {
-		units := make([]func() struct{}, len(d.tileJobs))
-		for i, job := range d.tileJobs {
-			job := job
-			units[i] = func() struct{} {
-				if !obs.Stopped(ctx) {
-					d.routeOneTile(job, scale)
-				}
-				return struct{}{}
-			}
-		}
-		pool.Run(units, workers)
-	}
+	// routeOneTile touches only its own job, and the shared Detailer state
+	// it reads — chains, access points, graph, rules — is frozen during
+	// tile routing, so the tile chunks fan out freely across the pool. The
+	// merge below walks the jobs in their canonical order, making the hop
+	// index contents and the failure list independent of the pool size; a
+	// cancelled context skips un-started tiles, whose passages keep empty
+	// routes.
+	d.tileCtx, d.tileScale = ctx, scale
+	pool.Run(d.tileUnits, d.Opt.workers())
+	d.tileCtx = nil
 
 	failures := d.failBuf[:0]
 	for _, job := range d.tileJobs {

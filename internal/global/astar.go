@@ -3,12 +3,11 @@ package global
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
-	"rdlroute/internal/pq"
 	"rdlroute/internal/rgraph"
-	"rdlroute/internal/viaplan"
 )
 
 // ErrUnroutable is wrapped by route errors when the crossing-aware A* cannot
@@ -46,12 +45,111 @@ type searchState struct {
 }
 
 // heapItem is one open-list entry: the f value is stored inline so the heap
-// comparator never chases the arena, and the index is a plain int32 so
-// pushes and pops do not box through interface{} the way container/heap
-// does.
+// comparator never chases the arena.
 type heapItem struct {
 	f   float64
 	idx int32
+}
+
+// openList is the binary min-heap on f shared by the crossing-aware and the
+// standalone searches. Its sift-up and sift-down make exactly the
+// comparisons of pq.Heap ordered by a.f < b.f, so the pop order among equal
+// f values — and with it every search — is the one the generic heap gave,
+// without an indirect comparator call per comparison.
+type openList struct {
+	data []heapItem
+}
+
+// reset empties the list, keeping its backing array.
+//
+//rdl:noalloc
+func (h *openList) reset() { h.data = h.data[:0] }
+
+// len returns the number of open entries.
+//
+//rdl:noalloc
+func (h *openList) len() int { return len(h.data) }
+
+// push adds an entry.
+//
+//rdl:noalloc
+func (h *openList) push(x heapItem) {
+	h.data = append(h.data, x)
+	d := h.data
+	i := len(d) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !(d[i].f < d[parent].f) {
+			return
+		}
+		d[i], d[parent] = d[parent], d[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the entry of least f. The list must not be
+// empty.
+//
+//rdl:noalloc
+func (h *openList) pop() heapItem {
+	d := h.data
+	n := len(d) - 1
+	top := d[0]
+	d[0] = d[n]
+	d = d[:n]
+	h.data = d
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && d[r].f < d[l].f {
+			m = r
+		}
+		if !(d[m].f < d[i].f) {
+			break
+		}
+		d[i], d[m] = d[m], d[i]
+		i = m
+	}
+	return top
+}
+
+// scoreSlot is one scoreboard entry: the best g of a state key in the
+// search stamped gen; stale when gen is not the current generation. g is
+// kept as its two 32-bit halves so the slot packs into 12 bytes and the
+// cost sits beside its stamp.
+type scoreSlot struct {
+	gLo, gHi uint32
+	gen      uint32
+}
+
+// g returns the slot's best cost.
+//
+//rdl:noalloc
+func (s *scoreSlot) g() float64 { return math.Float64frombits(uint64(s.gHi)<<32 | uint64(s.gLo)) }
+
+// set records cost g for the search stamped gen.
+//
+//rdl:noalloc
+func (s *scoreSlot) set(g float64, gen uint32) {
+	b := math.Float64bits(g)
+	s.gLo, s.gHi, s.gen = uint32(b), uint32(b>>32), gen
+}
+
+// heurSlot memoises a node's heuristic, its distance to the search target,
+// for the search stamped gen.
+type heurSlot struct {
+	h   float64
+	gen uint32
+}
+
+// chordSpan locates one tile's resolved foreign chords in the scratch chord
+// buffer, for the search stamped gen.
+type chordSpan struct {
+	gen    uint32
+	off, n int32
 }
 
 // searchScratch owns every buffer the crossing-aware A* needs, so repeated
@@ -61,23 +159,29 @@ type heapItem struct {
 //
 // The best-cost scoreboard is dense: every reachable state key maps to a
 // fixed slot (via nodes get two slots, one per viaArrive flavour; edge nodes
-// get Cap+1 slots, one per insertion gap, because a sequence of length m
-// needs gaps 0..m and m never exceeds the node capacity). A generation
-// counter stamps slot validity so clearing the scoreboard between searches
-// is one integer increment, not an O(slots) wipe.
+// get one slot per insertion gap, because a sequence of length m needs gaps
+// 0..m and m never exceeds maxSeqLen). A generation counter stamps slot
+// validity so clearing the scoreboard between searches is one integer
+// increment, not an O(slots) wipe. The same generation
+// stamps the per-node heuristic memo and the per-tile chord cache: the
+// committed passages and sequence lists do not change while a search runs,
+// so each tile's foreign chords are resolved once per search.
 //
 // Beyond the A* buffers the scratch records the search's blocked set —
 // nodes, links and tiles where a capacity or crossing check rejected an
-// expansion, deduplicated against the per-search serial. On failure the
-// caller folds it into the round-level sets that seed incremental rip-up.
+// expansion, deduplicated by generation stamps too. On failure the caller
+// folds it into the round-level sets that seed incremental rip-up.
 type searchScratch struct {
 	slotBase []int32 // per node: first scoreboard slot
-	bestG    []float64
-	bestGen  []uint32
+	best     []scoreSlot
 	gen      uint32
 
+	heur      []heurSlot    // per node
+	chordSpan []chordSpan   // per dense tile
+	chords    []chordCoords // backs the cached chord spans
+
 	arena []searchState
-	open  *pq.Heap[heapItem]
+	open  openList
 
 	// seen and seenGen implement reconstruct's node-revisit check without a
 	// per-call map.
@@ -88,71 +192,53 @@ type searchScratch struct {
 	// this scratch's next search overwrites them.
 	gapsBuf []int
 
-	// dstPos is the heuristic target of the search in flight.
-	dstPos geom.Point
-
-	// pcBuf is a scratch buffer for resolved passage coordinates, reused
-	// across search expansions.
-	pcBuf []chordCoords
+	// The search in flight: its net, whether the net has a layer limit,
+	// the net's per-edge-node capacity units and the heuristic target.
+	net          int
+	layerLimited bool
+	units        int32
+	dstPos       geom.Point
 
 	// Per-search work counters, reset by begin; the caller folds them into
 	// the router totals.
 	expansions int
 	heapPushes int
 
-	// serial stamps one search; the blocked-set recorders dedup against it.
-	serial int64
-
 	// Blocked-resource recording (see type comment).
-	blkNodeStamp []int64
-	blkLinkStamp []int64
-	blkTileStamp []int64
+	blkNodeStamp []uint32
+	blkLinkStamp []uint32
+	blkTileStamp []uint32
 	blkNodes     []rgraph.NodeID
 	blkLinks     []int
-	blkTiles     []int32 // dense tile ordinals (Router.tileIndex)
+	blkTiles     []int32 // dense tile ordinals (Graph.TileBase)
 }
 
-// graphTileBase computes the dense tile indexing of the router's per-tile
-// state: tile (layer, tri) lives at base[layer]+tri, and base[len(layers)]
-// is the total tile count.
-func graphTileBase(g *rgraph.Graph) []int32 {
-	base := make([]int32, len(g.Layers)+1)
-	var total int32
-	for li := range g.Layers {
-		base[li] = total
-		total += int32(len(g.Layers[li].Mesh.Tris))
-	}
-	base[len(g.Layers)] = total
-	return base
-}
-
-// newSearchScratch sizes the scoreboard and recorder arrays for a graph
-// with nTiles tiles.
-func newSearchScratch(g *rgraph.Graph, nTiles int32) *searchScratch {
+// newSearchScratch sizes the scoreboard, memo and recorder arrays for a
+// graph.
+func newSearchScratch(g *rgraph.Graph) *searchScratch {
+	nTiles := g.TileBase[len(g.Layers)]
 	s := &searchScratch{
-		slotBase: make([]int32, len(g.Nodes)+1),
-		seen:     make([]uint32, len(g.Nodes)),
-		open:     pq.New(func(a, b heapItem) bool { return a.f < b.f }),
+		slotBase:  make([]int32, len(g.Nodes)+1),
+		heur:      make([]heurSlot, len(g.Nodes)),
+		chordSpan: make([]chordSpan, nTiles),
+		seen:      make([]uint32, len(g.Nodes)),
 
-		blkNodeStamp: make([]int64, len(g.Nodes)),
-		blkLinkStamp: make([]int64, len(g.Links)),
-		blkTileStamp: make([]int64, nTiles),
+		blkNodeStamp: make([]uint32, len(g.Nodes)),
+		blkLinkStamp: make([]uint32, len(g.Links)),
+		blkTileStamp: make([]uint32, nTiles),
 	}
 	var slots int32
 	for id := range g.Nodes {
 		s.slotBase[id] = slots
-		if g.Nodes[id].Kind == rgraph.EdgeNode {
-			// Gap 0..Cap: each committed sequence entry consumes at least
-			// one capacity unit, so len(seq) ≤ Cap and every insertion gap
-			// fits.
-			slots += int32(g.Nodes[id].Cap) + 1
+		if n := &g.Nodes[id]; n.Kind == rgraph.EdgeNode {
+			// Gaps 0..len(seq), and len(seq) never exceeds maxSeqLen.
+			slots += int32(maxSeqLen(g, n)) + 1
 		} else {
 			slots += 2 // viaArrive false / true
 		}
 	}
 	s.slotBase[len(g.Nodes)] = slots
-	s.bestG = make([]float64, slots)
-	s.bestGen = make([]uint32, slots)
+	s.best = make([]scoreSlot, slots)
 	return s
 }
 
@@ -170,28 +256,53 @@ func (s *searchScratch) slot(key stateKey) int32 {
 	return base
 }
 
-// begin readies the scratch for one search: new scoreboard generation, new
-// recording serial, empty arena, open list and blocked set, zeroed work
-// counters.
+// begin readies the scratch for one search of net (units capacity units
+// per edge node) toward dstPos: new generation, empty arena, open list,
+// chord buffer and blocked set, zeroed work counters.
 //
 //rdl:noalloc
-func (s *searchScratch) begin(dstPos geom.Point) {
+func (s *searchScratch) begin(net design.Net, units int, dstPos geom.Point) {
 	s.gen++
-	if s.gen == 0 { // generation counter wrapped: invalidate explicitly
-		for i := range s.bestGen {
-			s.bestGen[i] = 0
+	if s.gen == 0 { // generation counter wrapped: invalidate every stamp
+		for i := range s.best {
+			s.best[i].gen = 0
 		}
+		for i := range s.heur {
+			s.heur[i].gen = 0
+		}
+		for i := range s.chordSpan {
+			s.chordSpan[i].gen = 0
+		}
+		clear(s.blkNodeStamp)
+		clear(s.blkLinkStamp)
+		clear(s.blkTileStamp)
 		s.gen = 1
 	}
 	s.arena = s.arena[:0]
-	s.open.Reset()
+	s.open.reset()
+	s.chords = s.chords[:0]
+	s.net = net.ID
+	s.layerLimited = net.MaxLayers > 0
+	s.units = int32(units)
 	s.dstPos = dstPos
 	s.expansions = 0
 	s.heapPushes = 0
-	s.serial++
 	s.blkNodes = s.blkNodes[:0]
 	s.blkLinks = s.blkLinks[:0]
 	s.blkTiles = s.blkTiles[:0]
+}
+
+// heuristic returns node id's distance to the search target, computed once
+// per node per search.
+//
+//rdl:noalloc
+func (s *searchScratch) heuristic(g *rgraph.Graph, id rgraph.NodeID) float64 {
+	m := &s.heur[id]
+	if m.gen != s.gen {
+		m.h = g.Nodes[id].Pos.Dist(s.dstPos)
+		m.gen = s.gen
+	}
+	return m.h
 }
 
 // blockNode records a node whose capacity rejected an expansion of the
@@ -199,8 +310,8 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 //
 //rdl:noalloc
 func (s *searchScratch) blockNode(id rgraph.NodeID) {
-	if s.blkNodeStamp[id] != s.serial {
-		s.blkNodeStamp[id] = s.serial
+	if s.blkNodeStamp[id] != s.gen {
+		s.blkNodeStamp[id] = s.gen
 		s.blkNodes = append(s.blkNodes, id)
 	}
 }
@@ -208,10 +319,10 @@ func (s *searchScratch) blockNode(id rgraph.NodeID) {
 // blockLink records a link whose capacity rejected an expansion.
 //
 //rdl:noalloc
-func (s *searchScratch) blockLink(id int) {
-	if s.blkLinkStamp[id] != s.serial {
-		s.blkLinkStamp[id] = s.serial
-		s.blkLinks = append(s.blkLinks, id)
+func (s *searchScratch) blockLink(id int32) {
+	if s.blkLinkStamp[id] != s.gen {
+		s.blkLinkStamp[id] = s.gen
+		s.blkLinks = append(s.blkLinks, int(id))
 	}
 }
 
@@ -220,8 +331,8 @@ func (s *searchScratch) blockLink(id int) {
 //
 //rdl:noalloc
 func (s *searchScratch) blockTile(ti int32) {
-	if s.blkTileStamp[ti] != s.serial {
-		s.blkTileStamp[ti] = s.serial
+	if s.blkTileStamp[ti] != s.gen {
+		s.blkTileStamp[ti] = s.gen
 		s.blkTiles = append(s.blkTiles, ti)
 	}
 }
@@ -231,15 +342,14 @@ func (s *searchScratch) blockTile(ti int32) {
 //
 //rdl:noalloc
 func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link int32) {
-	slot := sc.slot(key)
-	if sc.bestGen[slot] == sc.gen && sc.bestG[slot] <= g {
+	b := &sc.best[sc.slot(key)]
+	if b.gen == sc.gen && b.g() <= g {
 		return
 	}
-	sc.bestGen[slot] = sc.gen
-	sc.bestG[slot] = g
-	f := g + r.G.Node(key.node).Pos.Dist(sc.dstPos)
+	b.set(g, sc.gen)
+	f := g + sc.heuristic(r.G, key.node)
 	sc.arena = append(sc.arena, searchState{key: key, g: g, f: f, parent: parent, link: link})
-	sc.open.Push(heapItem{f: f, idx: int32(len(sc.arena) - 1)})
+	sc.open.push(heapItem{f: f, idx: int32(len(sc.arena) - 1)})
 	sc.heapPushes++
 }
 
@@ -254,18 +364,18 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 	if err != nil {
 		// Reset the scratch so the caller's counter/blocked-set fold sees
 		// an empty search rather than the previous search's leftovers.
-		sc.begin(geom.Point{})
+		sc.begin(net, 0, geom.Point{})
 		return nil, err
 	}
-	sc.begin(r.G.Node(dst).Pos)
+	sc.begin(net, r.edgeUnits(net.ID), r.G.Nodes[dst].Pos)
 
 	r.push(sc, stateKey{node: src, gap: -1}, 0, -1, -1)
 
 	expanded := 0
-	for sc.open.Len() > 0 {
-		si := sc.open.Pop().idx
+	for sc.open.len() > 0 {
+		si := sc.open.pop().idx
 		st := sc.arena[si]
-		if st.g > sc.bestG[sc.slot(st.key)] {
+		if st.g > sc.best[sc.slot(st.key)].g() {
 			continue // stale heap entry
 		}
 		if st.key.node == dst {
@@ -281,11 +391,11 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 			break
 		}
 
-		node := r.G.Node(st.key.node)
-		if node.Kind == rgraph.ViaNode {
-			r.expandVia(sc, st, si, net.ID)
+		// Via-node states carry gap -1; edge-node states an insertion gap.
+		if st.key.gap < 0 {
+			r.expandVia(sc, st, si)
 		} else {
-			r.expandEdge(sc, st, si, net.ID, dst)
+			r.expandEdge(sc, st, si, dst)
 		}
 	}
 	//rdl:allow noalloc failure path only: the error is built after the search is already lost, never per expansion
@@ -298,38 +408,37 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 // access-via link. The start pin may use anything available.
 //
 //rdl:noalloc
-func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int) {
+func (r *Router) expandVia(sc *searchScratch, st searchState, si int32) {
 	arrivedCross := st.key.viaArrive
 	isStart := st.link == -1
-	for _, adj := range r.G.Adj[st.key.node] {
-		link := r.G.Link(adj.Link)
-		switch link.Kind {
+	for _, h := range r.G.Adj(st.key.node) {
+		switch h.Kind {
 		case rgraph.CrossVia:
 			if !isStart && arrivedCross {
 				continue // no double layer hop through one via pair
 			}
 			// Per-net layer constraint: a static design property.
-			if !r.G.LayerAllowed(net, r.G.Node(adj.To).Layer) {
+			if sc.layerLimited && !r.G.LayerAllowed(sc.net, r.G.Nodes[h.To].Layer) {
 				continue
 			}
-			if r.linkUse[adj.Link] >= link.Cap {
-				sc.blockLink(adj.Link)
+			if lu := &r.linkUse[h.Link]; lu.use >= lu.cap {
+				sc.blockLink(h.Link)
 				continue
 			}
-			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
-				sc.blockNode(adj.To)
+			if nu := &r.nodeUse[h.To]; nu.use >= nu.cap {
+				sc.blockNode(h.To)
 				continue
 			}
-			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: true}, st.g+link.Len, si, int32(adj.Link))
+			r.push(sc, stateKey{node: h.To, gap: -1, viaArrive: true}, st.g+h.Len, si, h.Link)
 		case rgraph.AccessVia:
 			if !isStart && !arrivedCross {
 				continue // entered by wire; must take the via down/up
 			}
-			if r.linkUse[adj.Link] >= link.Cap {
-				sc.blockLink(adj.Link)
+			if lu := &r.linkUse[h.Link]; lu.use >= lu.cap {
+				sc.blockLink(h.Link)
 				continue
 			}
-			r.pushChordToEdge(sc, st, si, net, adj, link)
+			r.pushChordToEdge(sc, st, si, h)
 		}
 	}
 }
@@ -338,64 +447,41 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 // access-via links, enumerating crossing-free insertion gaps.
 //
 //rdl:noalloc
-func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int, dst rgraph.NodeID) {
-	for _, adj := range r.G.Adj[st.key.node] {
-		link := r.G.Link(adj.Link)
-		if r.linkUse[adj.Link] >= link.Cap {
-			sc.blockLink(adj.Link)
+func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, dst rgraph.NodeID) {
+	for _, h := range r.G.Adj(st.key.node) {
+		lu := &r.linkUse[h.Link]
+		if lu.use >= lu.cap {
+			sc.blockLink(h.Link)
 			continue
 		}
-		tile := r.G.TileOf(link.Layer, link.Tile)
-		fromOrd := edgeOrdinal(tile, st.key.node)
-		if fromOrd == -1 {
-			continue // defensive: link tile does not contain the node
-		}
-		from := gapEnd(fromOrd, int(st.key.gap))
-		switch link.Kind {
+		switch h.Kind {
 		case rgraph.AccessVia:
-			// adj.To is the via node (link.A is always the via end).
-			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
-				sc.blockNode(adj.To)
+			// h.To is the via node (link.A is always the via end).
+			if nu := &r.nodeUse[h.To]; nu.use >= nu.cap {
+				sc.blockNode(h.To)
 				continue
 			}
 			// Foreign pins are never intermediate hops.
-			if to := r.G.Node(adj.To); to.VertKind == viaplan.KindPin && adj.To != dst &&
-				!r.G.Design.SameGroup(r.G.Design.IOPads[to.Ref].Net, net) {
+			if pn := r.G.PinNet[h.To]; pn != rgraph.NoPin && h.To != dst &&
+				!r.G.Design.SameGroup(int(pn), sc.net) {
 				continue
 			}
-			vOrd := vertexOrdinal(tile, r.G.Node(adj.To).Vert)
-			if vOrd == -1 {
+			if pcs := r.tileChords(sc, h.Tile); len(pcs) > 0 &&
+				!chordAllowedCoords(r.gapCoordAt(h.Tile, h.FromOrd, int(st.key.gap)), vertexCoord(h.ToOrd), pcs) {
+				sc.blockTile(h.Tile)
 				continue
 			}
-			if !r.chordAllowed(sc, net, tile, from, vertexEnd(vOrd)) {
-				sc.blockTile(r.tileIndex(tileKey{link.Layer, link.Tile}))
-				continue
-			}
-			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, int32(adj.Link))
+			r.push(sc, stateKey{node: h.To, gap: -1, viaArrive: false}, st.g+h.Len, si, h.Link)
 		case rgraph.CrossTile:
-			units := r.edgeUnits(net)
-			if r.nodeUse[adj.To]+units > r.nodeCap(adj.To) {
-				sc.blockNode(adj.To)
+			if nu := &r.nodeUse[h.To]; nu.use+sc.units > nu.cap {
+				sc.blockNode(h.To)
 				continue
 			}
-			if r.linkUse[adj.Link]+units > link.Cap {
-				sc.blockLink(adj.Link)
+			if lu.use+sc.units > lu.cap {
+				sc.blockLink(h.Link)
 				continue
 			}
-			toOrd := edgeOrdinal(tile, adj.To)
-			if toOrd == -1 {
-				continue
-			}
-			m := len(r.seqs[adj.To])
-			r.passageCoords(sc, net, tile)
-			q1 := r.coord(tile, from)
-			for g2 := 0; g2 <= m; g2++ {
-				if !chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), sc.pcBuf) {
-					sc.blockTile(r.tileIndex(tileKey{link.Layer, link.Tile}))
-					continue
-				}
-				r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
-			}
+			r.pushGaps(sc, st, si, h, r.gapCoordAt(h.Tile, h.FromOrd, int(st.key.gap)))
 		}
 	}
 }
@@ -404,27 +490,29 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 // trying every crossing-free insertion gap.
 //
 //rdl:noalloc
-func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, net int,
-	adj rgraph.Adjacent, link *rgraph.Link) {
-	if r.nodeUse[adj.To]+r.edgeUnits(net) > r.nodeCap(adj.To) {
-		sc.blockNode(adj.To)
+func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, h rgraph.Adjacent) {
+	if nu := &r.nodeUse[h.To]; nu.use+sc.units > nu.cap {
+		sc.blockNode(h.To)
 		return
 	}
-	tile := r.G.TileOf(link.Layer, link.Tile)
-	vOrd := vertexOrdinal(tile, r.G.Node(st.key.node).Vert)
-	eOrd := edgeOrdinal(tile, adj.To)
-	if vOrd == -1 || eOrd == -1 {
-		return
-	}
-	m := len(r.seqs[adj.To])
-	r.passageCoords(sc, net, tile)
-	q1 := r.coord(tile, vertexEnd(vOrd))
+	r.pushGaps(sc, st, si, h, vertexCoord(h.FromOrd))
+}
+
+// pushGaps pushes the states of hop h into every insertion gap of its edge
+// node whose chord from boundary coordinate q1 crosses no foreign chord of
+// the tile, and records the tile as blocking for every gap that does.
+//
+//rdl:noalloc
+func (r *Router) pushGaps(sc *searchScratch, st searchState, si int32, h rgraph.Adjacent, q1 float64) {
+	pcs := r.tileChords(sc, h.Tile)
+	m := len(r.seqs[h.To])
+	sameDir := r.G.TileEdges[h.Tile].SameDir[h.ToOrd]
 	for g2 := 0; g2 <= m; g2++ {
-		if !chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), sc.pcBuf) {
-			sc.blockTile(r.tileIndex(tileKey{link.Layer, link.Tile}))
+		if !chordAllowedCoords(q1, gapCoord(int(h.ToOrd), sameDir, m, g2), pcs) {
+			sc.blockTile(h.Tile)
 			continue
 		}
-		r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
+		r.push(sc, stateKey{node: h.To, gap: int16(g2)}, st.g+h.Len, si, h.Link)
 	}
 }
 

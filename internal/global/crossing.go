@@ -1,6 +1,8 @@
 package global
 
 import (
+	"errors"
+
 	"rdlroute/internal/rgraph"
 )
 
@@ -20,63 +22,55 @@ import (
 // correct order of nets on the boundary of every tile guarantees a
 // non-crossing guide topology (§III-A3a).
 
-// boundaryEnd is one chord endpoint on a tile boundary.
-type boundaryEnd struct {
-	// vertex is the corner ordinal (0..2) for endpoints at tile corners, or
-	// -1 for endpoints on a tile edge.
-	vertex int
-	// edge is the edge ordinal (0..2) for endpoints on a tile edge.
-	edge int
-	// item is the committed position in the edge's net sequence, in the
-	// edge's own storage order (EndA→EndB); -1 when gap is used instead.
-	item int
-	// gap is the insertion gap (0..len(seq)) in storage order; -1 when item
-	// is used.
-	gap int
-}
+// Boundary coordinates. A chord endpoint maps to a scalar in the cyclic
+// domain [0, 6): corner i sits at 2i, and positions on edge i spread
+// strictly inside (2i, 2i+2). Committed items of an edge sequence of length
+// m map to (j+1)/(m+1) fractions and insertion gaps to half-offsets between
+// them, so a gap coordinate never equals an item coordinate. Storage order
+// runs EndA→EndB where Edge.A < Edge.B; the boundary traversal runs
+// Verts[i] → Verts[(i+1)%3], so the fraction flips when the edge does not
+// run in the boundary's direction (rgraph.TileEdges.SameDir).
 
-func vertexEnd(ordinal int) boundaryEnd {
-	return boundaryEnd{vertex: ordinal, edge: -1, item: -1, gap: -1}
-}
+// vertexCoord is the coordinate of tile corner ord.
+//
+//rdl:noalloc
+func vertexCoord(ord int8) float64 { return float64(2 * int(ord)) }
 
-func itemEnd(edgeOrdinal, item int) boundaryEnd {
-	return boundaryEnd{vertex: -1, edge: edgeOrdinal, item: item, gap: -1}
-}
-
-func gapEnd(edgeOrdinal, gap int) boundaryEnd {
-	return boundaryEnd{vertex: -1, edge: edgeOrdinal, item: -1, gap: gap}
-}
-
-// coord maps a boundary endpoint to a scalar in the cyclic domain [0, 6):
-// vertex i sits at 2i, and positions on edge i spread strictly inside
-// (2i, 2i+2). Items map to (j+1)/(m+1) fractions and gaps to half-offsets
-// between them, so a gap coordinate never equals an item coordinate.
-func (r *Router) coord(tile *rgraph.Tile, e boundaryEnd) float64 {
-	if e.vertex >= 0 {
-		return float64(2 * e.vertex)
-	}
-	en := tile.EdgeNodes[e.edge]
-	node := r.G.Node(en)
-	m := len(r.seqs[en])
-	// Storage order runs EndA→EndB where Edge.A < Edge.B. The boundary
-	// traversal runs Verts[e.edge] → Verts[(e.edge+1)%3]; flip when the
-	// boundary start is not Edge.A.
-	sameDir := tile.Verts[e.edge] == node.Edge.A
+// itemCoord is the coordinate of committed position item in the sequence
+// (length m) of tile edge edge.
+//
+//rdl:noalloc
+func itemCoord(edge int, sameDir bool, m, item int) float64 {
 	var frac float64
-	if e.item >= 0 {
-		if sameDir {
-			frac = float64(e.item+1) / float64(m+1)
-		} else {
-			frac = float64(m-e.item) / float64(m+1)
-		}
+	if sameDir {
+		frac = float64(item+1) / float64(m+1)
 	} else {
-		if sameDir {
-			frac = (float64(e.gap) + 0.5) / float64(m+1)
-		} else {
-			frac = (float64(m-e.gap) + 0.5) / float64(m+1)
-		}
+		frac = float64(m-item) / float64(m+1)
 	}
-	return float64(2*e.edge) + 2*frac
+	return float64(2*edge) + 2*frac
+}
+
+// gapCoord is the coordinate of insertion gap gap in the sequence (length
+// m) of tile edge edge.
+//
+//rdl:noalloc
+func gapCoord(edge int, sameDir bool, m, gap int) float64 {
+	var frac float64
+	if sameDir {
+		frac = (float64(gap) + 0.5) / float64(m+1)
+	} else {
+		frac = (float64(m-gap) + 0.5) / float64(m+1)
+	}
+	return float64(2*edge) + 2*frac
+}
+
+// gapCoordAt is the coordinate of insertion gap gap on edge ord of tile ti,
+// against the edge's current sequence.
+//
+//rdl:noalloc
+func (r *Router) gapCoordAt(ti int32, ord int8, gap int) float64 {
+	te := &r.G.TileEdges[ti]
+	return gapCoord(int(ord), te.SameDir[ord], len(r.seqs[te.Nodes[ord]]), gap)
 }
 
 // inOpenArc reports whether x lies strictly inside the cyclic arc from a to
@@ -104,9 +98,9 @@ func chordsCross(a1, a2, b1, b2 float64) bool {
 // passage is one committed guide chord through a tile.
 type passage struct {
 	net int
-	// Ends in boundaryEnd form. Edge endpoints are stored WITHOUT a
-	// position (item = -1): the net's current index in the edge sequence is
-	// looked up at query time, because later insertions shift it.
+	// Edge endpoints are stored WITHOUT a position: the net's current
+	// index in the edge sequence is looked up at query time (resolve),
+	// because later insertions shift it.
 	e1, e2 passageEnd
 }
 
@@ -115,19 +109,24 @@ type passageEnd struct {
 	edge   int // edge ordinal or -1
 }
 
-// resolve converts a stored passage endpoint to a boundaryEnd with the
-// net's current sequence position filled in.
-func (r *Router) resolve(tile *rgraph.Tile, pe passageEnd, net int) (boundaryEnd, bool) {
+// resolve returns the coordinate of a stored passage end of net in tile
+// ti: the corner's coordinate, or the net's current position in the edge
+// sequence. It reports false when the net is missing from that sequence,
+// which CheckInvariants rules out for every committed passage.
+//
+//rdl:noalloc
+func (r *Router) resolve(ti int32, pe passageEnd, net int) (float64, bool) {
 	if pe.vertex >= 0 {
-		return vertexEnd(pe.vertex), true
+		return vertexCoord(int8(pe.vertex)), true
 	}
-	en := tile.EdgeNodes[pe.edge]
-	for j, n := range r.seqs[en] {
+	te := &r.G.TileEdges[ti]
+	seq := r.seqs[te.Nodes[pe.edge]]
+	for j, n := range seq {
 		if n == net {
-			return itemEnd(pe.edge, j), true
+			return itemCoord(pe.edge, te.SameDir[pe.edge], len(seq), j), true
 		}
 	}
-	return boundaryEnd{}, false
+	return 0, false
 }
 
 // tileKey identifies a tile globally.
@@ -136,31 +135,41 @@ type tileKey struct{ layer, tri int }
 // chordCoords is the resolved coordinate pair of one committed passage.
 type chordCoords struct{ c1, c2 float64 }
 
-// passageCoords resolves every committed passage of the tile that belongs
-// to an electrically different net into boundary coordinates, into the
-// scratch pcBuf. The search hoists this out of its per-gap loops: resolving
-// a passage walks its edge sequences, which would otherwise repeat for
-// every candidate gap.
+// errStalePassage reports a committed passage whose net is missing from an
+// edge sequence it ends on. commit and ripUp keep passages and sequences in
+// step, and CheckInvariants proves it, so reaching it is a router bug.
+var errStalePassage = errors.New("global: committed passage end missing from its edge sequence")
+
+// tileChords returns the committed chords of tile ti that belong to nets
+// electrically different from the searching net (same-group passages are
+// the same net and may cross freely), resolved into boundary coordinates.
+// The passages and sequence lists are frozen while a search runs, so each
+// tile is resolved on its first visit and the scratch returns the cached
+// span on every later one.
 //
 //rdl:noalloc
-func (r *Router) passageCoords(sc *searchScratch, net int, tile *rgraph.Tile) {
-	sc.pcBuf = sc.pcBuf[:0]
-	ps := r.passages[r.tileIndex(tileKey{tile.Layer, tile.Tri})]
-	for _, p := range ps {
-		if r.G.Design.SameGroup(p.net, net) {
-			continue
+func (r *Router) tileChords(sc *searchScratch, ti int32) []chordCoords {
+	sp := &sc.chordSpan[ti]
+	if sp.gen != sc.gen {
+		off := len(sc.chords)
+		for _, p := range r.passages[ti] {
+			if r.G.Design.SameGroup(p.net, sc.net) {
+				continue
+			}
+			c1, ok1 := r.resolve(ti, p.e1, p.net)
+			c2, ok2 := r.resolve(ti, p.e2, p.net)
+			if !ok1 || !ok2 {
+				panic(errStalePassage)
+			}
+			sc.chords = append(sc.chords, chordCoords{c1, c2})
 		}
-		c1, ok1 := r.resolve(tile, p.e1, p.net)
-		c2, ok2 := r.resolve(tile, p.e2, p.net)
-		if !ok1 || !ok2 {
-			continue // stale passage; defensive, should not happen
-		}
-		sc.pcBuf = append(sc.pcBuf, chordCoords{r.coord(tile, c1), r.coord(tile, c2)})
+		*sp = chordSpan{gen: sc.gen, off: int32(off), n: int32(len(sc.chords) - off)}
 	}
+	return sc.chords[sp.off : sp.off+sp.n]
 }
 
-// chordAllowedCoords reports whether the query chord (q1, q2) crosses any of
-// the pre-resolved passages.
+// chordAllowedCoords reports whether the query chord (q1, q2) crosses none
+// of the resolved chords.
 //
 //rdl:noalloc
 func chordAllowedCoords(q1, q2 float64, pcs []chordCoords) bool {
@@ -170,20 +179,6 @@ func chordAllowedCoords(q1, q2 float64, pcs []chordCoords) bool {
 		}
 	}
 	return true
-}
-
-// chordAllowed reports whether a query chord (from, to) of the given net
-// through the tile crosses any committed passage of an electrically
-// different net (same-group passages are the same net and may cross
-// freely).
-//
-//rdl:noalloc
-func (r *Router) chordAllowed(sc *searchScratch, net int, tile *rgraph.Tile, from, to boundaryEnd) bool {
-	r.passageCoords(sc, net, tile)
-	if len(sc.pcBuf) == 0 {
-		return true
-	}
-	return chordAllowedCoords(r.coord(tile, from), r.coord(tile, to), sc.pcBuf)
 }
 
 // vertexOrdinal returns the ordinal (0..2) of the mesh vertex v within the

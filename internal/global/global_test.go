@@ -72,25 +72,23 @@ func TestGuidesDoNotCross(t *testing.T) {
 	for li := range r.G.Layers {
 		for tri := range r.G.Layers[li].Mesh.Tris {
 			key := tileKey{li, tri}
-			tile := r.G.TileOf(li, tri)
-			ps := r.passages[r.tileIndex(key)]
+			ti := r.tileIndex(key)
+			ps := r.passages[ti]
 			for i := 0; i < len(ps); i++ {
-				e1a, ok1 := r.resolve(tile, ps[i].e1, ps[i].net)
-				e1b, ok2 := r.resolve(tile, ps[i].e2, ps[i].net)
+				a1, ok1 := r.resolve(ti, ps[i].e1, ps[i].net)
+				a2, ok2 := r.resolve(ti, ps[i].e2, ps[i].net)
 				if !ok1 || !ok2 {
 					t.Fatalf("tile %v: passage %d unresolvable", key, i)
 				}
-				a1, a2 := r.coord(tile, e1a), r.coord(tile, e1b)
 				for j := i + 1; j < len(ps); j++ {
 					if ps[j].net == ps[i].net {
 						continue // same-net crossings are legal (no spacing rule)
 					}
-					e2a, ok3 := r.resolve(tile, ps[j].e1, ps[j].net)
-					e2b, ok4 := r.resolve(tile, ps[j].e2, ps[j].net)
+					b1, ok3 := r.resolve(ti, ps[j].e1, ps[j].net)
+					b2, ok4 := r.resolve(ti, ps[j].e2, ps[j].net)
 					if !ok3 || !ok4 {
 						t.Fatalf("tile %v: passage %d unresolvable", key, j)
 					}
-					b1, b2 := r.coord(tile, e2a), r.coord(tile, e2b)
 					if chordsCross(a1, a2, b1, b2) {
 						t.Fatalf("tile %v: nets %d and %d cross (coords %v-%v vs %v-%v)",
 							key, ps[i].net, ps[j].net, a1, a2, b1, b2)
@@ -167,13 +165,13 @@ func TestRipUpRestoresState(t *testing.T) {
 		}
 	}
 	for id, u := range r.nodeUse {
-		if u != 0 {
-			t.Fatalf("node %d usage %d after full rip-up", id, u)
+		if u.use != 0 {
+			t.Fatalf("node %d usage %d after full rip-up", id, u.use)
 		}
 	}
 	for id, u := range r.linkUse {
-		if u != 0 {
-			t.Fatalf("link %d usage %d after full rip-up", id, u)
+		if u.use != 0 {
+			t.Fatalf("link %d usage %d after full rip-up", id, u.use)
 		}
 	}
 	for id, s := range r.seqs {

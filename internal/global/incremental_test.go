@@ -227,6 +227,7 @@ func TestFullRipUpInvariantsPerRound(t *testing.T) {
 // guide + nodes + links + the passages map append slack.
 func TestRouteSearchDoesNotAllocate(t *testing.T) {
 	r := buildRouter(t, "dense1", rgraph.Options{}, Options{})
+	r.scr = newSearchScratch(r.G)
 	net := r.G.Design.Nets[0]
 	// Warm-up: grows arena, heap and gap buffers to steady state.
 	g, err := r.route(r.scr, net)

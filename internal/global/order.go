@@ -9,9 +9,7 @@ import (
 	"rdlroute/internal/obs"
 	"rdlroute/internal/pool"
 	"rdlroute/internal/portfolio"
-	"rdlroute/internal/pq"
 	"rdlroute/internal/rgraph"
-	"rdlroute/internal/viaplan"
 )
 
 // Initial net ordering (§III-A2): every net is first routed alone on the
@@ -37,29 +35,32 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 	// Standalone guides, computed in parallel through the shared
 	// deterministic pool: each net's seed route ignores every other net, so
 	// the searches are independent and paths[ni] depends only on net ni.
-	// Nets are chunked so one scratch amortizes across a chunk's searches
-	// (the pool schedules units dynamically; a per-net unit would pay a
-	// scratch allocation per net).
+	// Nets are chunked into pool units, and each pool worker allocates one
+	// scratch on its first unit and reuses it for every later one.
 	paths := make([]*plainPath, n)
 	const orderChunk = 16
-	var units []func() struct{}
+	workers := r.Opt.parallelism()
+	scrs := make([]*plainScratch, workers)
+	var units []func(worker int) struct{}
 	for lo := 0; lo < n; lo += orderChunk {
 		lo, hi := lo, lo+orderChunk
 		if hi > n {
 			hi = n
 		}
-		units = append(units, func() struct{} {
-			scr := newPlainScratch(r.G)
+		units = append(units, func(worker int) struct{} {
+			if scrs[worker] == nil {
+				scrs[worker] = newPlainScratch(r.G)
+			}
 			for ni := lo; ni < hi; ni++ {
 				if obs.Stopped(ctx) {
 					return struct{}{}
 				}
-				paths[ni] = r.routePlain(ni, scr)
+				paths[ni] = r.routePlain(ni, scrs[worker])
 			}
 			return struct{}{}
 		})
 	}
-	pool.Run(units, r.Opt.parallelism())
+	pool.RunWith(units, workers)
 
 	// RUDY accumulation. The per-net tile footprints persist on the router
 	// (predTiles) for the congested-tile counts and conflictPairs.
@@ -200,19 +201,14 @@ type plainItem struct {
 // counter instead of per-search clearing), the item arena, and a typed open
 // list. One scratch serves every net a worker claims.
 type plainScratch struct {
-	bestG   []float64
-	bestGen []uint32
-	gen     uint32
-	arena   []plainItem
-	open    *pq.Heap[heapItem]
+	best  []scoreSlot
+	gen   uint32
+	arena []plainItem
+	open  openList
 }
 
 func newPlainScratch(g *rgraph.Graph) *plainScratch {
-	return &plainScratch{
-		bestG:   make([]float64, 2*len(g.Nodes)),
-		bestGen: make([]uint32, 2*len(g.Nodes)),
-		open:    pq.New(func(a, b heapItem) bool { return a.f < b.f }),
-	}
+	return &plainScratch{best: make([]scoreSlot, 2*len(g.Nodes))}
 }
 
 // plainSlot maps a plain state to its scoreboard slot.
@@ -228,13 +224,13 @@ func plainSlot(st plainState) int {
 func (s *plainScratch) begin() {
 	s.gen++
 	if s.gen == 0 { // uint32 wraparound: stale stamps would alias as current
-		for i := range s.bestGen {
-			s.bestGen[i] = 0
+		for i := range s.best {
+			s.best[i].gen = 0
 		}
 		s.gen = 1
 	}
 	s.arena = s.arena[:0]
-	s.open.Reset()
+	s.open.reset()
 }
 
 // routePlain finds the shortest structural path for one net, ignoring other
@@ -251,22 +247,21 @@ func (r *Router) routePlain(ni int, s *plainScratch) *plainPath {
 
 	s.begin()
 	push := func(st plainState, g float64, parent, link int) {
-		slot := plainSlot(st)
-		if s.bestGen[slot] == s.gen && s.bestG[slot] <= g {
+		b := &s.best[plainSlot(st)]
+		if b.gen == s.gen && b.g() <= g {
 			return
 		}
-		s.bestGen[slot] = s.gen
-		s.bestG[slot] = g
+		b.set(g, s.gen)
 		s.arena = append(s.arena, plainItem{st: st, g: g,
-			f: g + r.G.Node(st.node).Pos.Dist(dstPos), parent: parent, link: link})
-		s.open.Push(heapItem{f: s.arena[len(s.arena)-1].f, idx: int32(len(s.arena) - 1)})
+			f: g + r.G.Nodes[st.node].Pos.Dist(dstPos), parent: parent, link: link})
+		s.open.push(heapItem{f: s.arena[len(s.arena)-1].f, idx: int32(len(s.arena) - 1)})
 	}
 	push(plainState{node: src}, 0, -1, -1)
 
-	for s.open.Len() > 0 {
-		si := int(s.open.Pop().idx)
+	for s.open.len() > 0 {
+		si := int(s.open.pop().idx)
 		it := s.arena[si]
-		if it.g > s.bestG[plainSlot(it.st)] {
+		if it.g > s.best[plainSlot(it.st)].g() {
 			continue
 		}
 		if it.st.node == dst {
@@ -286,30 +281,27 @@ func (r *Router) routePlain(ni int, s *plainScratch) *plainPath {
 			}
 			return &plainPath{nodes: nodes, links: links}
 		}
-		node := r.G.Node(it.st.node)
-		for _, adj := range r.G.Adj[it.st.node] {
-			link := r.G.Link(adj.Link)
-			to := r.G.Node(adj.To)
-			if to.Cap <= 0 && adj.To != dst {
+		leaveRestricted := r.G.Nodes[it.st.node].Kind == rgraph.ViaNode && it.link != -1
+		for _, h := range r.G.Adj(it.st.node) {
+			if r.G.Nodes[h.To].Cap <= 0 && h.To != dst {
 				continue
 			}
-			if node.Kind == rgraph.ViaNode && it.link != -1 {
+			if leaveRestricted {
 				// Same leave-kind restriction as the real search.
-				if it.st.viaArrive && link.Kind == rgraph.CrossVia {
+				if it.st.viaArrive && h.Kind == rgraph.CrossVia {
 					continue
 				}
-				if !it.st.viaArrive && link.Kind != rgraph.CrossVia {
+				if !it.st.viaArrive && h.Kind != rgraph.CrossVia {
 					continue
 				}
 			}
 			// A wire never enters a pin that is not its own target.
-			if to.Kind == rgraph.ViaNode && to.VertKind == viaplan.KindPin &&
-				adj.To != dst && adj.To != src &&
-				!r.G.Design.SameGroup(r.G.Design.IOPads[to.Ref].Net, ni) {
+			if pn := r.G.PinNet[h.To]; pn != rgraph.NoPin && h.To != dst && h.To != src &&
+				!r.G.Design.SameGroup(int(pn), ni) {
 				continue
 			}
-			push(plainState{node: adj.To, viaArrive: link.Kind == rgraph.CrossVia},
-				it.g+link.Len, si, adj.Link)
+			push(plainState{node: h.To, viaArrive: h.Kind == rgraph.CrossVia},
+				it.g+h.Len, si, int(h.Link))
 		}
 	}
 	return nil

@@ -51,11 +51,11 @@ func (r *Router) refineDiagonal(ctx context.Context) int {
 		}
 		// Reduce the edge node's capacity below its current usage so the
 		// reroute must move at least one net off it.
-		newCap := r.nodeUse[e] - 1
+		newCap := r.nodeUse[e].use - 1
 		if newCap < 0 {
 			newCap = 0
 		}
-		r.nodeCapacity[e] = newCap
+		r.nodeUse[e].cap = newCap
 		reductions++
 
 		// Rip up and reroute every net currently crossing the edge node.
@@ -75,9 +75,7 @@ func (r *Router) refineDiagonal(ctx context.Context) int {
 			r.ripUp(r.guides[ni])
 		}
 		for _, ni := range victims {
-			sr, err := r.route(r.scr, r.G.Design.Nets[ni])
-			r.expansions += r.scr.expansions
-			r.heapPushes += r.scr.heapPushes
+			sr, err := r.search(ni)
 			if err != nil {
 				continue // stays unrouted; reported by the caller
 			}
@@ -121,12 +119,12 @@ func (r *Router) findDiagonalViolation() rgraph.NodeID {
 			}
 			u1, u2 := 0, 0
 			if l1 != -1 {
-				u1 = r.linkUse[l1]
+				u1 = r.LinkUsage(l1)
 			}
 			if l2 != -1 {
-				u2 = r.linkUse[l2]
+				u2 = r.LinkUsage(l2)
 			}
-			upsilon := r.nodeUse[en]
+			upsilon := r.Usage(en)
 			if upsilon == 0 && u1 == 0 && u2 == 0 {
 				r.diagCheckedAt[en] = now
 				continue
@@ -156,7 +154,7 @@ func (r *Router) cornerLink(li, tri, v int) int {
 // in triangle tri of layer li.
 func (r *Router) cornerUse(li, tri, v int) int {
 	if l := r.cornerLink(li, tri, v); l != -1 {
-		return r.linkUse[l]
+		return r.LinkUsage(l)
 	}
 	return 0
 }
@@ -181,7 +179,7 @@ func (r *Router) DiagonalViolations() int {
 			}
 			u1 := r.cornerUse(li, tris[0], vi)
 			u2 := r.cornerUse(li, tris[1], vj)
-			upsilon := r.nodeUse[en]
+			upsilon := r.Usage(en)
 			if upsilon == 0 && u1 == 0 && u2 == 0 {
 				continue
 			}

@@ -145,18 +145,18 @@ type Router struct {
 	Opt Options
 	rec obs.Recorder
 
-	nodeUse []int
-	linkUse []int
-	// nodeCapacity is every node's effective capacity: Node.Cap, lowered
-	// for the edge nodes diagonal refinement reduces.
-	nodeCapacity []int
+	// nodeUse and linkUse hold every node's and link's usage beside its
+	// capacity, so one capacity test reads one cache line. A node's
+	// capacity is its effective one: Node.Cap, lowered for the edge nodes
+	// diagonal refinement reduces.
+	nodeUse []useCap
+	linkUse []useCap
 	// seqs holds, for each edge node, the ordered net IDs crossing it
 	// (storage order: from Edge.A's position toward Edge.B's).
 	seqs [][]int
 	// passages holds the committed chords per tile, indexed by the dense
-	// tile ordinal tileBase[layer]+tri.
+	// tile ordinal (rgraph.Graph.TileBase).
 	passages [][]passage
-	tileBase []int32
 
 	guides     []*Guide
 	routed     int // committed-guide count, maintained by commit/ripUp
@@ -165,8 +165,16 @@ type Router struct {
 	ripUps     int
 	kept       int
 	// scr is the A* scratch every search of the round loop and of
-	// diagonal refinement reuses across route calls.
+	// diagonal refinement reuses across route calls. It is sized for the
+	// whole graph, so the first search allocates it and Run drops it on
+	// return: a Router kept after routing (router.Output holds one) does
+	// not keep it alive.
 	scr *searchScratch
+	// searchDone, when non-nil, observes every search of the round loop
+	// and of diagonal refinement: the net, whether it found a guide, and
+	// its expansion and heap-push counts. Tests pin the search sequence
+	// through it.
+	searchDone func(net int, ok bool, expansions, heapPushes int)
 
 	// Change clock: advances on every commit and rip-up; nodeStamp and
 	// linkStamp record the last tick that changed a resource's usage or
@@ -197,21 +205,22 @@ type Router struct {
 	predTiles [][]tileKey
 }
 
+// useCap is a resource's usage and capacity, in capacity units.
+type useCap struct {
+	use, cap int32
+}
+
 // New creates a router over the graph.
 func New(g *rgraph.Graph, opt Options) *Router {
-	tb := graphTileBase(g)
 	r := &Router{
 		G:             g,
 		Opt:           opt.withDefaults(),
 		rec:           obs.Or(opt.Rec),
-		nodeUse:       make([]int, len(g.Nodes)),
-		linkUse:       make([]int, len(g.Links)),
-		nodeCapacity:  make([]int, len(g.Nodes)),
+		nodeUse:       make([]useCap, len(g.Nodes)),
+		linkUse:       make([]useCap, len(g.Links)),
 		seqs:          make([][]int, len(g.Nodes)),
-		passages:      make([][]passage, tb[len(g.Layers)]),
-		tileBase:      tb,
+		passages:      make([][]passage, g.TileBase[len(g.Layers)]),
 		guides:        make([]*Guide, len(g.Design.Nets)),
-		scr:           newSearchScratch(g, tb[len(g.Layers)]),
 		nodeStamp:     make([]int64, len(g.Nodes)),
 		linkStamp:     make([]int64, len(g.Links)),
 		diagCheckedAt: make([]int64, len(g.Nodes)),
@@ -223,28 +232,39 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		predTiles: make([][]tileKey, len(g.Design.Nets)),
 	}
 	for id := range g.Nodes {
-		r.nodeCapacity[id] = g.Nodes[id].Cap
+		r.nodeUse[id].cap = int32(g.Nodes[id].Cap)
 	}
-	// Pre-size the sequence lists from edge capacity: a sequence entry
-	// consumes at least one capacity unit, so Cap bounds the list length
-	// and the commit-time insertions below never reallocate. All lists
-	// carve one backing array — full-capacity three-index sub-slices, so
-	// an append can never bleed into a neighbour's region.
+	for id := range g.Links {
+		r.linkUse[id].cap = int32(g.Links[id].Cap)
+	}
+	// Pre-size the sequence lists to their longest possible length
+	// (maxSeqLen), so the commit-time insertions below never reallocate.
+	// All lists carve one backing array — full-capacity three-index
+	// sub-slices, so an append can never bleed into a neighbour's region.
 	total := 0
 	for id := range g.Nodes {
-		if n := &g.Nodes[id]; n.Kind == rgraph.EdgeNode && n.Cap > 0 {
-			total += n.Cap
+		if n := &g.Nodes[id]; n.Kind == rgraph.EdgeNode {
+			total += maxSeqLen(g, n)
 		}
 	}
 	backing := make([]int, total)
 	off := 0
 	for id := range g.Nodes {
 		if n := &g.Nodes[id]; n.Kind == rgraph.EdgeNode && n.Cap > 0 {
-			r.seqs[id] = backing[off : off : off+n.Cap]
-			off += n.Cap
+			m := maxSeqLen(g, n)
+			r.seqs[id] = backing[off : off : off+m]
+			off += m
 		}
 	}
 	return r
+}
+
+// maxSeqLen bounds the net-sequence length of edge node n: every entry
+// consumes at least one capacity unit, and each net crosses the node at
+// most once (a guide never revisits a node), so the list never outgrows
+// the node's capacity or the design's net count.
+func maxSeqLen(g *rgraph.Graph, n *rgraph.Node) int {
+	return max(0, min(n.Cap, len(g.Design.Nets)))
 }
 
 // edgeUnits returns the capacity units one guide of the net consumes on an
@@ -256,12 +276,12 @@ func (r *Router) edgeUnits(net int) int {
 
 // nodeCap returns the effective capacity of a node, honouring diagonal
 // refinement reductions.
-func (r *Router) nodeCap(id rgraph.NodeID) int { return r.nodeCapacity[id] }
+func (r *Router) nodeCap(id rgraph.NodeID) int { return int(r.nodeUse[id].cap) }
 
-// tileIndex maps a tile key to its dense ordinal tileBase[layer]+tri.
+// tileIndex maps a tile key to its dense ordinal.
 //
 //rdl:noalloc
-func (r *Router) tileIndex(k tileKey) int32 { return r.tileBase[k.layer] + int32(k.tri) }
+func (r *Router) tileIndex(k tileKey) int32 { return r.G.TileBase[k.layer] + int32(k.tri) }
 
 // Run executes the full global-routing flow and returns the guides. When
 // ctx is cancelled or expires mid-run, routing stops between nets and Run
@@ -270,6 +290,7 @@ func (r *Router) tileIndex(k tileKey) int32 { return r.tileBase[k.layer] + int32
 func (r *Router) Run(ctx context.Context) (*Result, error) {
 	span := obs.StartSpan(r.rec, "global")
 	defer span.End()
+	defer func() { r.scr = nil }()
 
 	nets := r.G.Design.Nets
 	orderSpan := obs.StartSpan(r.rec, "global.order")
@@ -380,9 +401,7 @@ func (r *Router) routeRound(ctx context.Context, order, failCount []int,
 // counters, then commit or record the failure.
 func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress bool) {
 	nets := r.G.Design.Nets
-	g, err := r.route(r.scr, nets[ni])
-	r.expansions += r.scr.expansions
-	r.heapPushes += r.scr.heapPushes
+	g, err := r.search(ni)
 	if err != nil {
 		r.noteSearchFailed(r.scr)
 		failCount[ni]++
@@ -398,6 +417,22 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 	}
 }
 
+// search runs one net's crossing-aware A* on the router's scratch, which
+// it allocates on first use, and folds the search's work counters into the
+// router totals.
+func (r *Router) search(ni int) (*searchResult, error) {
+	if r.scr == nil {
+		r.scr = newSearchScratch(r.G)
+	}
+	sr, err := r.route(r.scr, r.G.Design.Nets[ni])
+	r.expansions += r.scr.expansions
+	r.heapPushes += r.scr.heapPushes
+	if r.searchDone != nil {
+		r.searchDone(ni, err == nil, r.scr.expansions, r.scr.heapPushes)
+	}
+	return sr, err
+}
+
 // commit installs a found guide: bumps usage, inserts sequence positions,
 // and records tile passages. It advances the change clock and stamps every
 // occupied node and link so later rounds can tell which committed guides
@@ -411,7 +446,7 @@ func (r *Router) commit(g *searchResult) {
 	for i, id := range g.nodes {
 		r.nodeStamp[id] = r.clock
 		if r.G.Node(id).Kind == rgraph.EdgeNode {
-			r.nodeUse[id] += r.edgeUnits(g.net)
+			r.nodeUse[id].use += int32(r.edgeUnits(g.net))
 			gap := g.gaps[i]
 			seq := r.seqs[id]
 			if gap < 0 || gap > len(seq) {
@@ -424,32 +459,40 @@ func (r *Router) commit(g *searchResult) {
 			seq[gap] = g.net
 			r.seqs[id] = seq
 		} else {
-			r.nodeUse[id]++
+			r.nodeUse[id].use++
 		}
 	}
 	for _, l := range g.links {
 		r.linkStamp[l] = r.clock
 		if r.G.Link(l).Kind == rgraph.CrossTile {
-			r.linkUse[l] += r.edgeUnits(g.net)
+			r.linkUse[l].use += int32(r.edgeUnits(g.net))
 		} else {
-			r.linkUse[l]++
+			r.linkUse[l].use++
 		}
 	}
 	// Record passages per tile for crossing checks.
-	for i, l := range g.links {
-		link := r.G.Link(l)
-		if link.Kind == rgraph.CrossVia {
-			continue
+	for i := range g.links {
+		if ti, p, ok := r.hopPassage(g.net, g.nodes, g.links, i); ok {
+			r.passages[ti] = append(r.passages[ti], p)
 		}
-		tile := r.G.TileOf(link.Layer, link.Tile)
-		p := passage{net: g.net}
-		p.e1 = r.passageEndFor(tile, g.nodes[i])
-		p.e2 = r.passageEndFor(tile, g.nodes[i+1])
-		ti := r.tileIndex(tileKey{link.Layer, link.Tile})
-		r.passages[ti] = append(r.passages[ti], p)
 	}
 	r.guides[g.net] = guide
 	r.routed++
+}
+
+// hopPassage returns the passage hop i of a guide (nodes[i] to nodes[i+1]
+// over links[i]) leaves in its tile, with the tile's dense ordinal; ok is
+// false for a cross-via hop, which crosses no tile.
+//
+//rdl:noalloc
+func (r *Router) hopPassage(net int, nodes []rgraph.NodeID, links []int, i int) (ti int32, p passage, ok bool) {
+	link := r.G.Link(links[i])
+	if link.Kind == rgraph.CrossVia {
+		return 0, passage{}, false
+	}
+	tile := r.G.TileOf(link.Layer, link.Tile)
+	p = passage{net: net, e1: r.passageEndFor(tile, nodes[i]), e2: r.passageEndFor(tile, nodes[i+1])}
+	return r.tileIndex(tileKey{link.Layer, link.Tile}), p, true
 }
 
 // passageEndFor converts a path node into a stored passage endpoint within
@@ -473,7 +516,7 @@ func (r *Router) ripUp(guide *Guide) {
 	for _, id := range guide.Nodes {
 		r.nodeStamp[id] = r.clock
 		if r.G.Node(id).Kind == rgraph.EdgeNode {
-			r.nodeUse[id] -= r.edgeUnits(guide.Net)
+			r.nodeUse[id].use -= int32(r.edgeUnits(guide.Net))
 			seq := r.seqs[id]
 			for j, n := range seq {
 				if n == guide.Net {
@@ -482,16 +525,16 @@ func (r *Router) ripUp(guide *Guide) {
 				}
 			}
 		} else {
-			r.nodeUse[id]--
+			r.nodeUse[id].use--
 		}
 	}
 	for _, l := range guide.Links {
 		r.linkStamp[l] = r.clock
 		link := r.G.Link(l)
 		if link.Kind == rgraph.CrossTile {
-			r.linkUse[l] -= r.edgeUnits(guide.Net)
+			r.linkUse[l].use -= int32(r.edgeUnits(guide.Net))
 		} else {
-			r.linkUse[l]--
+			r.linkUse[l].use--
 		}
 		if link.Kind == rgraph.CrossVia {
 			continue
@@ -682,17 +725,21 @@ func (r *Router) Guide(net int) *Guide {
 }
 
 // Usage returns the current node usage count.
-func (r *Router) Usage(id rgraph.NodeID) int { return r.nodeUse[id] }
+func (r *Router) Usage(id rgraph.NodeID) int { return int(r.nodeUse[id].use) }
 
 // LinkUsage returns the current link usage count.
-func (r *Router) LinkUsage(id int) int { return r.linkUse[id] }
+func (r *Router) LinkUsage(id int) int { return int(r.linkUse[id].use) }
 
 // CheckInvariants verifies internal consistency: usage matches the committed
-// guides, sequences contain exactly the committed nets, and no capacity is
-// exceeded. Intended for tests.
+// guides, sequences contain exactly the committed nets, no capacity is
+// exceeded, and every committed guide owns exactly one passage per non-via
+// link, in that link's tile and between that link's ends, each end
+// resolving to the net's position in its edge sequence. Intended for tests.
 func (r *Router) CheckInvariants() error {
 	nodeUse := make([]int, len(r.G.Nodes))
 	linkUse := make([]int, len(r.G.Links))
+	// want counts the passages the guides imply, per tile and passage.
+	want := make(map[int32]map[passage]int)
 	for _, g := range r.guides {
 		if g == nil {
 			continue
@@ -704,22 +751,30 @@ func (r *Router) CheckInvariants() error {
 				nodeUse[id]++
 			}
 		}
-		for _, l := range g.Links {
-			if r.G.Link(l).Kind == rgraph.CrossTile {
+		for i, l := range g.Links {
+			link := r.G.Link(l)
+			if link.Kind == rgraph.CrossTile {
 				linkUse[l] += r.edgeUnits(g.Net)
 			} else {
 				linkUse[l]++
 			}
+			if ti, p, ok := r.hopPassage(g.Net, g.Nodes, g.Links, i); ok {
+				if want[ti] == nil {
+					want[ti] = make(map[passage]int)
+				}
+				want[ti][p]++
+			}
 		}
 	}
 	for id := range r.G.Nodes {
-		if nodeUse[id] != r.nodeUse[id] {
-			return fmt.Errorf("global: node %d usage %d, recomputed %d", id, r.nodeUse[id], nodeUse[id])
+		use := int(r.nodeUse[id].use)
+		if nodeUse[id] != use {
+			return fmt.Errorf("global: node %d usage %d, recomputed %d", id, use, nodeUse[id])
 		}
-		if r.nodeUse[id] > r.nodeCap(rgraph.NodeID(id)) {
+		if use > r.nodeCap(rgraph.NodeID(id)) {
 			n := r.G.Node(rgraph.NodeID(id))
 			return fmt.Errorf("global: node %d (%v layer %d) over capacity: %d > %d",
-				id, n.Kind, n.Layer, r.nodeUse[id], r.nodeCap(rgraph.NodeID(id)))
+				id, n.Kind, n.Layer, use, r.nodeCap(rgraph.NodeID(id)))
 		}
 		if r.G.Nodes[id].Kind == rgraph.EdgeNode {
 			want := 0
@@ -733,11 +788,36 @@ func (r *Router) CheckInvariants() error {
 		}
 	}
 	for id := range r.G.Links {
-		if linkUse[id] != r.linkUse[id] {
-			return fmt.Errorf("global: link %d usage %d, recomputed %d", id, r.linkUse[id], linkUse[id])
+		use := int(r.linkUse[id].use)
+		if linkUse[id] != use {
+			return fmt.Errorf("global: link %d usage %d, recomputed %d", id, use, linkUse[id])
 		}
-		if r.linkUse[id] > r.G.Link(id).Cap {
-			return fmt.Errorf("global: link %d over capacity: %d > %d", id, r.linkUse[id], r.G.Link(id).Cap)
+		if use > r.G.Link(id).Cap {
+			return fmt.Errorf("global: link %d over capacity: %d > %d", id, use, r.G.Link(id).Cap)
+		}
+	}
+	for ti, ps := range r.passages {
+		for _, p := range ps {
+			if _, ok1 := r.resolve(int32(ti), p.e1, p.net); !ok1 {
+				return fmt.Errorf("global: tile %d: passage of net %d: end %+v does not resolve", ti, p.net, p.e1)
+			}
+			if _, ok2 := r.resolve(int32(ti), p.e2, p.net); !ok2 {
+				return fmt.Errorf("global: tile %d: passage of net %d: end %+v does not resolve", ti, p.net, p.e2)
+			}
+			if want[int32(ti)][p] == 0 {
+				return fmt.Errorf("global: tile %d: passage %+v matches no committed guide link", ti, p)
+			}
+			want[int32(ti)][p]--
+		}
+	}
+	for _, g := range r.guides {
+		if g == nil {
+			continue
+		}
+		for i, l := range g.Links {
+			if ti, p, ok := r.hopPassage(g.Net, g.Nodes, g.Links, i); ok && want[ti][p] != 0 {
+				return fmt.Errorf("global: tile %d: net %d has no passage for guide link %d", ti, g.Net, l)
+			}
 		}
 	}
 	return nil

@@ -23,8 +23,17 @@ func fingerprint(g *Graph) string {
 	for _, l := range g.Links {
 		fmt.Fprintf(h, "l%+v\n", l)
 	}
-	for id, adj := range g.Adj {
-		fmt.Fprintf(h, "a%d%v\n", id, adj)
+	// Adjacency lines keep the {Link To} form of the per-node slices the
+	// pins were taken from, so the hop's other fields do not enter the hash.
+	for id := range g.Nodes {
+		fmt.Fprintf(h, "a%d[", id)
+		for i, adj := range g.Adj(NodeID(id)) {
+			if i > 0 {
+				fmt.Fprint(h, " ")
+			}
+			fmt.Fprintf(h, "{%d %d}", adj.Link, adj.To)
+		}
+		fmt.Fprint(h, "]\n")
 	}
 	for _, lg := range g.Layers {
 		fmt.Fprintf(h, "L%d\n", lg.Index)

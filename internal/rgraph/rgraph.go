@@ -100,11 +100,38 @@ type Link struct {
 	Len float64
 }
 
-// Adjacent pairs a link with the neighbouring node it leads to.
+// Adjacent is one hop of the search-ready adjacency: a link, the
+// neighbouring node it leads to, and everything the global search reads to
+// take the hop, so a hop never touches the Link or Tile records.
 type Adjacent struct {
-	Link int
-	To   NodeID
+	// Len is the link's nominal length cost (Link.Len).
+	Len float64
+	// Link is the link ID.
+	Link int32
+	// To is the node at the far end of the link.
+	To NodeID
+	// Tile is the dense ordinal (Graph.TileBase) of the link's tile, or -1
+	// on a cross-via hop.
+	Tile int32
+	// Kind is the link's kind.
+	Kind EdgeKind
+	// FromOrd and ToOrd are the boundary ordinals (0..2) of the hop's two
+	// ends within Tile: the corner ordinal of a via node, the edge ordinal
+	// of an edge node. Both are -1 on a cross-via hop.
+	FromOrd, ToOrd int8
 }
+
+// TileEdges is the boundary of one tile as the crossing checks read it:
+// the edge node of each tile edge and whether that edge's net-sequence
+// storage order (Edge.A toward Edge.B) runs along the cyclic tile boundary,
+// from Verts[i] toward Verts[(i+1)%3].
+type TileEdges struct {
+	Nodes   [3]NodeID
+	SameDir [3]bool
+}
+
+// NoPin is the PinNet entry of a node that is not an I/O pin.
+const NoPin = math.MinInt32
 
 // Tile is one triangular tile with its node references in boundary order:
 // the cyclic tile boundary is Verts[0], Edges[0], Verts[1], Edges[1],
@@ -149,7 +176,19 @@ type Graph struct {
 	Layers []LayerGraph
 	Nodes  []Node
 	Links  []Link
-	Adj    [][]Adjacent
+	// AdjStart and hops are the adjacency in CSR form: node id's hops, in
+	// link order, are hops[AdjStart[id]:AdjStart[id+1]] (read through Adj).
+	AdjStart []int32
+	hops     []Adjacent
+	// TileBase is the dense tile indexing: tile (layer, tri) has ordinal
+	// TileBase[layer]+tri, and TileBase[len(Layers)] is the tile count.
+	TileBase []int32
+	// TileEdges is the boundary table of every tile, by dense ordinal.
+	TileEdges []TileEdges
+	// PinNet maps every node to the net of the I/O pad it sits on (the
+	// pad's Net, -1 for an unconnected pad) for pin via nodes, and to NoPin
+	// for every other node.
+	PinNet []int32
 	// PinNode maps an I/O pad ID to its via node.
 	PinNode map[int]NodeID
 	// Options the graph was built with.
@@ -445,7 +484,31 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 			lg.Tiles[ti] = t
 		}
 	}
-	g.Adj = adjacency(len(g.Nodes), g.Links)
+	g.TileBase = make([]int32, len(g.Layers)+1)
+	var tiles int32
+	for li := range g.Layers {
+		g.TileBase[li] = tiles
+		tiles += int32(len(g.Layers[li].Tiles))
+	}
+	g.TileBase[len(g.Layers)] = tiles
+	g.TileEdges = make([]TileEdges, 0, tiles)
+	for li := range g.Layers {
+		for _, t := range g.Layers[li].Tiles {
+			te := TileEdges{Nodes: t.EdgeNodes}
+			for i, en := range t.EdgeNodes {
+				te.SameDir[i] = t.Verts[i] == g.Nodes[en].Edge.A
+			}
+			g.TileEdges = append(g.TileEdges, te)
+		}
+	}
+	g.PinNet = make([]int32, len(g.Nodes))
+	for id := range g.Nodes {
+		g.PinNet[id] = NoPin
+		if n := &g.Nodes[id]; n.Kind == ViaNode && n.VertKind == viaplan.KindPin {
+			g.PinNet[id] = int32(d.IOPads[n.Ref].Net)
+		}
+	}
+	g.adjacency()
 	if rec := obs.Or(opt.Rec); rec.Enabled() {
 		s := g.Stats()
 		rec.Count("rgraph.via_nodes", int64(s.ViaNodes))
@@ -464,32 +527,63 @@ func (g *Graph) accessible(layer int, vn, opp NodeID, clearance float64) bool {
 	return v.Cap > 0 && !g.Design.SegmentBlocked(geom.Seg(v.Pos, e.Pos), layer, clearance)
 }
 
-// adjacency builds the per-node adjacency lists in link order. All lists
-// carve one backing array as full-capacity sub-slices sized by node
-// degree, so filling them never reallocates and an append can never bleed
-// into a neighbour's region. Nodes without links keep a nil list.
-func adjacency(n int, links []Link) [][]Adjacent {
+// adjacency builds the CSR adjacency in link order: node id's hops fill
+// hops[AdjStart[id]:AdjStart[id+1]], each carrying its link's length, kind,
+// dense tile and the boundary ordinals of both ends in that tile.
+func (g *Graph) adjacency() {
+	n := len(g.Nodes)
 	start := make([]int32, n+1)
-	for i := range links {
-		start[links[i].A+1]++
-		start[links[i].B+1]++
+	for i := range g.Links {
+		start[g.Links[i].A+1]++
+		start[g.Links[i].B+1]++
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	backing := make([]Adjacent, start[n])
-	adj := make([][]Adjacent, n)
-	for i := range adj {
-		if lo, hi := start[i], start[i+1]; hi > lo {
-			adj[i] = backing[lo:lo:hi]
+	g.AdjStart = start
+	g.hops = make([]Adjacent, start[n])
+	fill := make([]int32, n)
+	copy(fill, start[:n])
+	add := func(from NodeID, h Adjacent) {
+		g.hops[fill[from]] = h
+		fill[from]++
+	}
+	for i := range g.Links {
+		l := &g.Links[i]
+		ab := Adjacent{Len: l.Len, Link: int32(l.ID), To: l.B, Tile: -1, Kind: l.Kind, FromOrd: -1, ToOrd: -1}
+		if l.Kind != CrossVia {
+			tile := g.TileOf(l.Layer, l.Tile)
+			ab.Tile = g.TileBase[l.Layer] + int32(l.Tile)
+			ab.FromOrd = g.boundaryOrdinal(tile, l.A)
+			ab.ToOrd = g.boundaryOrdinal(tile, l.B)
+		}
+		add(l.A, ab)
+		ba := ab
+		ba.To, ba.FromOrd, ba.ToOrd = l.A, ab.ToOrd, ab.FromOrd
+		add(l.B, ba)
+	}
+}
+
+// boundaryOrdinal returns the ordinal (0..2) of a node on the tile
+// boundary: its corner ordinal for a via node, its edge ordinal for an edge
+// node, or -1 when the node is not on the tile.
+func (g *Graph) boundaryOrdinal(tile *Tile, id NodeID) int8 {
+	n := &g.Nodes[id]
+	for i := 0; i < 3; i++ {
+		if (n.Kind == ViaNode && tile.Verts[i] == n.Vert) ||
+			(n.Kind == EdgeNode && tile.EdgeNodes[i] == id) {
+			return int8(i)
 		}
 	}
-	for i := range links {
-		l := &links[i]
-		adj[l.A] = append(adj[l.A], Adjacent{Link: l.ID, To: l.B})
-		adj[l.B] = append(adj[l.B], Adjacent{Link: l.ID, To: l.A})
-	}
-	return adj
+	return -1
+}
+
+// Adj returns the hops of node id in link order. The slice aliases the
+// graph's shared adjacency; callers must not modify it.
+//
+//rdl:noalloc
+func (g *Graph) Adj(id NodeID) []Adjacent {
+	return g.hops[g.AdjStart[id]:g.AdjStart[id+1]]
 }
 
 // Node returns the node with the given ID.

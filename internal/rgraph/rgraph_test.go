@@ -133,14 +133,14 @@ func TestNodeCapacities(t *testing.T) {
 func TestAdjacencySymmetry(t *testing.T) {
 	g := buildGraph(t, "dense1", Options{})
 	for id := range g.Nodes {
-		for _, adj := range g.Adj[id] {
-			l := g.Link(adj.Link)
+		for _, adj := range g.Adj(NodeID(id)) {
+			l := g.Link(int(adj.Link))
 			if l.A != NodeID(id) && l.B != NodeID(id) {
 				t.Fatalf("node %d lists link %d it is not part of", id, l.ID)
 			}
 			// The reverse adjacency must exist.
 			found := false
-			for _, back := range g.Adj[adj.To] {
+			for _, back := range g.Adj(adj.To) {
 				if back.Link == adj.Link && back.To == NodeID(id) {
 					found = true
 				}
@@ -149,6 +149,75 @@ func TestAdjacencySymmetry(t *testing.T) {
 				t.Fatalf("link %d missing reverse adjacency", l.ID)
 			}
 		}
+	}
+}
+
+// TestHopTable checks every search-ready hop against the link and tile
+// records it was derived from, and the tile boundary and pin-net tables
+// against the nodes.
+func TestHopTable(t *testing.T) {
+	g := buildGraph(t, "dense3", Options{})
+	if want := int32(len(g.Links) * 2); g.AdjStart[len(g.Nodes)] != want {
+		t.Fatalf("hop count %d, want %d", g.AdjStart[len(g.Nodes)], want)
+	}
+	ordinal := func(tile *Tile, id NodeID) int8 {
+		n := g.Node(id)
+		for i := 0; i < 3; i++ {
+			if (n.Kind == ViaNode && tile.Verts[i] == n.Vert) || (n.Kind == EdgeNode && tile.EdgeNodes[i] == id) {
+				return int8(i)
+			}
+		}
+		t.Fatalf("node %d not on tile %d/%d", id, tile.Layer, tile.Tri)
+		return -1
+	}
+	for id := range g.Nodes {
+		from := NodeID(id)
+		for _, h := range g.Adj(from) {
+			l := g.Link(int(h.Link))
+			if h.Len != l.Len || h.Kind != l.Kind {
+				t.Fatalf("node %d hop over link %d: len/kind %v/%v, link %v/%v", id, l.ID, h.Len, h.Kind, l.Len, l.Kind)
+			}
+			if l.Kind == CrossVia {
+				if h.Tile != -1 || h.FromOrd != -1 || h.ToOrd != -1 {
+					t.Fatalf("cross-via hop over link %d carries tile %d ords %d/%d", l.ID, h.Tile, h.FromOrd, h.ToOrd)
+				}
+				continue
+			}
+			if want := g.TileBase[l.Layer] + int32(l.Tile); h.Tile != want {
+				t.Fatalf("hop over link %d: tile %d, want %d", l.ID, h.Tile, want)
+			}
+			tile := g.TileOf(l.Layer, l.Tile)
+			if h.FromOrd != ordinal(tile, from) || h.ToOrd != ordinal(tile, h.To) {
+				t.Fatalf("hop over link %d: ords %d/%d", l.ID, h.FromOrd, h.ToOrd)
+			}
+			if g.TileEdges[h.Tile].Nodes != tile.EdgeNodes {
+				t.Fatalf("tile %d boundary nodes %v, want %v", h.Tile, g.TileEdges[h.Tile].Nodes, tile.EdgeNodes)
+			}
+		}
+	}
+	for li := range g.Layers {
+		for ti, tile := range g.Layers[li].Tiles {
+			te := g.TileEdges[g.TileBase[li]+int32(ti)]
+			for i, en := range tile.EdgeNodes {
+				if want := tile.Verts[i] == g.Node(en).Edge.A; te.SameDir[i] != want {
+					t.Fatalf("tile %d/%d edge %d same-direction %v, want %v", li, ti, i, te.SameDir[i], want)
+				}
+			}
+		}
+	}
+	pins := 0
+	for id, n := range g.Nodes {
+		want := int32(NoPin)
+		if n.Kind == ViaNode && n.VertKind == viaplan.KindPin {
+			want = int32(g.Design.IOPads[n.Ref].Net)
+			pins++
+		}
+		if g.PinNet[id] != want {
+			t.Fatalf("node %d pin net %d, want %d", id, g.PinNet[id], want)
+		}
+	}
+	if pins == 0 {
+		t.Fatal("no pin nodes")
 	}
 }
 
@@ -205,8 +274,8 @@ func TestNoAccessToDeadVertices(t *testing.T) {
 		if n.Kind != ViaNode || n.Cap != 0 {
 			continue
 		}
-		for _, adj := range g.Adj[id] {
-			if g.Link(adj.Link).Kind == AccessVia {
+		for _, adj := range g.Adj(NodeID(id)) {
+			if g.Link(int(adj.Link)).Kind == AccessVia {
 				t.Fatalf("capacity-0 node %d (%v) has an access-via link", id, n.VertKind)
 			}
 		}
