@@ -45,11 +45,11 @@ var budgets = []struct {
 	{"global/dense3/serial", 3479},
 	{"global/dense4/serial", 5024},
 	{"global/dense5/serial", 17452},
-	{"detail/dense1", 4850},
-	{"detail/dense2", 12200},
+	{"detail/dense1", 4838},
+	{"detail/dense2", 12165},
 	{"detail/dense3", 21500},
 	{"detail/dense4", 32350},
-	{"detail/dense5", 87750},
+	{"detail/dense5", 87707},
 }
 
 func main() {

@@ -97,6 +97,8 @@ func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
 		return
 	}
 	rules := d.G.Design.Rules
+	// A point whose movable range is shorter than two wire pitches is fixed.
+	minMovable := 2 * rules.Pitch()
 	// Two adjacent access points d apart along the edge give wires crossing
 	// at incidence angle θ a perpendicular separation of d·sin(θ), so the
 	// spacing each pair needs is clearance / sin(θ) — the continuous form of
@@ -133,7 +135,7 @@ func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
 		}
 		ap.Lo, ap.Hi = lo, hi
 		ap.T = clampf(ap.T, lo, hi)
-		if (hi-lo)*edgeLen < d.Opt.MinMovable {
+		if (hi-lo)*edgeLen < minMovable {
 			ap.Fixed = true
 		}
 	}
@@ -226,6 +228,10 @@ func (d *Detailer) apPosAt(apIdx int, t float64) (x, y float64) {
 	return p.X, p.Y
 }
 
+// dpCandidates is the number of evenly spaced candidate positions per
+// access point in the DP adjustment (the paper's user-defined count).
+const dpCandidates = 9
+
 // runDP optimizes one partial net with the dynamic program and updates the
 // neighbours' ranges afterwards. It reports whether any point moved.
 //
@@ -241,8 +247,6 @@ func (d *Detailer) runDP(pn partialNet) bool {
 	if ch == nil {
 		return false
 	}
-	C := d.Opt.Candidates
-
 	// Collect the run.
 	run := d.dpRun[:0]
 	for e := pn.startElem; e < pn.startElem+pn.length && e < len(ch.Elems); e++ {
@@ -275,8 +279,8 @@ func (d *Detailer) runDP(pn partialNet) bool {
 			continue
 		}
 		lo := len(ct)
-		for c := 0; c < C; c++ {
-			ct = append(ct, ap.Lo+(ap.Hi-ap.Lo)*float64(c)/float64(C-1))
+		for c := 0; c < dpCandidates; c++ {
+			ct = append(ct, ap.Lo+(ap.Hi-ap.Lo)*float64(c)/float64(dpCandidates-1))
 		}
 		onGrid := false
 		for _, v := range ct[lo:] {

@@ -17,7 +17,7 @@ func newDetailer(t *testing.T, name string) (*global.Router, *Detailer) {
 	r, gres, _ := pipeline(t, name, Options{SkipAdjust: true})
 	d := &Detailer{
 		G: r.G, R: r,
-		Opt:    Options{}.withDefaults(r.G.Design.Rules.Pitch()),
+		Opt:    Options{},
 		guides: gres.Guides,
 	}
 	if err := d.buildChains(gres.Guides); err != nil {

@@ -95,20 +95,17 @@ type Detailer struct {
 	// Counters flushed to rec at the end of Run.
 	dpHeapOps   int64 // partial-net heap pushes + pops
 	fitTangents int64 // successful tangent constructions (Fig. 12); atomic, tiles route concurrently
-	fitRetries  int64 // whole-pass retries with enlarged clearance
 
 	// Tile-routing state prepared once per run (see buildTileJobs): jobs in
 	// canonical order and the flat (net, chainIdx) → polyline hop index.
 	tileJobs []*tileJob
 	hopOff   []int32
 	hopPl    []geom.Polyline
-	failBuf  []*tilePassage
 	// tileUnits are the pool units over tileJobs (see buildTileUnits);
-	// tileCtx and tileScale are the context and clearance scale of the
-	// routeTiles call in flight, which the units read.
+	// tileCtx is the context of the routeTiles call in flight, which the
+	// units read.
 	tileUnits []func() struct{}
 	tileCtx   context.Context
-	tileScale float64
 
 	// DP scratches reused across runDP calls (the adjustment pass is
 	// serial): the run's AP indices, flat candidate parameters with

@@ -13,19 +13,6 @@ import (
 
 // Options tunes detailed routing.
 type Options struct {
-	// Candidates is the user-defined number of candidate positions per
-	// access point in the DP adjustment. Zero selects 9.
-	Candidates int
-	// MinMovable is the movable-range length (µm) below which an access
-	// point is classified fixed. Zero selects 2× the wire pitch (resolved
-	// at Run time).
-	MinMovable float64
-	// MaxFitIters bounds the tangent-construction iterations per passage.
-	// Zero selects 48.
-	MaxFitIters int
-	// Retries is how many times detailed routing re-runs tile routing with
-	// enlarged clearance after fit failures. Zero selects 2.
-	Retries int
 	// SkipAdjust disables the DP access-point adjustment (ablation): access
 	// points stay at their even initial distribution.
 	SkipAdjust bool
@@ -44,22 +31,6 @@ type Options struct {
 }
 
 func (o Options) workers() int { return pool.Default(o.Workers) }
-
-func (o Options) withDefaults(pitch float64) Options {
-	if o.Candidates == 0 {
-		o.Candidates = 9
-	}
-	if o.MinMovable == 0 {
-		o.MinMovable = 2 * pitch
-	}
-	if o.MaxFitIters == 0 {
-		o.MaxFitIters = 48
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	}
-	return o
-}
 
 // RouteSeg is one single-layer piece of a net's final geometry.
 type RouteSeg struct {
@@ -106,7 +77,7 @@ type Result struct {
 	// Wirelength is the total over all routed nets.
 	Wirelength float64
 	// FitFailures counts passages whose fit routing could not clear all
-	// spacing violations within the iteration bound (after retries).
+	// spacing violations within the iteration bound.
 	FitFailures int
 	// AdjustedPartialNets is the number of partial nets processed by the DP
 	// pass.
@@ -118,20 +89,18 @@ type Result struct {
 	// before detailed routing finished; the geometry of passages not
 	// reached falls back to straight chain hops.
 	Stopped bool
-
-	failedNets []int // net of each fit-failed passage (diagnostics)
 }
 
 // Run executes detailed routing for the guides committed in the global
-// router. Cancelling ctx stops the run at the next phase boundary (between
-// the DP adjustment, retry attempts, and individual tiles); passages not
-// reached fall back to straight chain hops so the returned geometry is
-// complete but degraded, with Result.Stopped set.
+// router. Cancelling ctx stops the run at the next phase boundary (after the
+// DP adjustment, between individual tiles); passages not reached fall back
+// to straight chain hops so the returned geometry is complete but degraded,
+// with Result.Stopped set.
 func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options) (*Result, error) {
 	d := &Detailer{
 		G:      r.G,
 		R:      r,
-		Opt:    opt.withDefaults(r.G.Design.Rules.Pitch()),
+		Opt:    opt,
 		rec:    obs.Or(opt.Rec),
 		guides: res.Guides,
 	}
@@ -148,32 +117,20 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 
 	fit := obs.StartSpan(d.rec, "detail.fit")
 	d.buildTileJobs()
-	scale := 1.0
-	var failures []*tilePassage
-	for attempt := 0; ; attempt++ {
-		failures = d.routeTiles(ctx, scale)
-		if len(failures) == 0 || attempt >= d.Opt.Retries || obs.Stopped(ctx) {
-			break
-		}
-		// Enlarge the distance that needs to be kept and iterate (§III-B2b).
-		d.fitRetries++
-		scale *= 1.15
-	}
+	failures := d.routeTiles(ctx)
 	fit.End()
 
 	out := &Result{
 		Routes:              make([]*Route, len(d.Chains)),
-		FitFailures:         len(failures),
+		FitFailures:         failures,
 		AdjustedPartialNets: d.processed,
 		Stopped:             obs.Stopped(ctx),
-	}
-	for _, f := range failures {
-		out.failedNets = append(out.failedNets, f.net)
 	}
 	// Assembly fans out over fixed net chunks; each unit writes its own
 	// disjoint out.Routes slots, so the merged result is independent of the
 	// pool size, and the first error in chunk order matches the error the
 	// serial loop would have hit first.
+	asm := obs.StartSpan(d.rec, "detail.assemble")
 	const assembleChunk = 32
 	var units []func() error
 	for lo := 0; lo < len(d.Chains); lo += assembleChunk {
@@ -196,15 +153,21 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 			return nil
 		})
 	}
-	for _, err := range pool.Run(units, d.Opt.workers()) {
+	errs := pool.Run(units, d.Opt.workers())
+	asm.End()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !d.Opt.SkipReassign {
+		ra := obs.StartSpan(d.rec, "detail.reassign")
 		out.Reassign = ReassignRoutes(out.Routes, r.G.Design)
+		ra.End()
 	}
+	pol := obs.StartSpan(d.rec, "detail.polish")
 	out.Wirelength = PolishRoutes(out.Routes, r.G.Design)
+	pol.End()
 	if d.rec.Enabled() {
 		d.rec.Count("detail.reassign.vias_removed",
 			int64(out.Reassign.ViasBefore-out.Reassign.ViasAfter))
@@ -212,8 +175,7 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 		d.rec.Count("detail.dp.heap_ops", d.dpHeapOps)
 		d.rec.Count("detail.dp.partial_nets", int64(d.processed))
 		d.rec.Count("detail.fit.tangent_constructions", d.fitTangents)
-		d.rec.Count("detail.fit.retries", d.fitRetries)
-		d.rec.Count("detail.fit.failures", int64(len(failures)))
+		d.rec.Count("detail.fit.failures", int64(failures))
 	}
 	return out, nil
 }
@@ -312,7 +274,3 @@ type RouteOnLayer struct {
 	Net int
 	Pl  geom.Polyline
 }
-
-// FailedHops returns the net ID of every fit-failed passage of the last
-// run, one entry per failed hop. Diagnostic helper.
-func (r *Result) FailedHops() []int { return r.failedNets }

@@ -3,11 +3,13 @@ package detail
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/global"
+	"rdlroute/internal/obs"
 	"rdlroute/internal/rgraph"
 	"rdlroute/internal/viaplan"
 )
@@ -280,6 +282,19 @@ func TestNetsWithViolations(t *testing.T) {
 	}
 }
 
+// TestDetailSubSpans pins the span layout of the detail stage: every phase
+// of Run — adjust, fit, assemble, reassign and polish — reports its own
+// span, in pipeline order, inside the enclosing "detail" span.
+func TestDetailSubSpans(t *testing.T) {
+	col := obs.NewCollector()
+	pipeline(t, "dense1", Options{Rec: col})
+	want := []string{"detail", "detail.adjust", "detail.fit", "detail.assemble", "detail.reassign", "detail.polish"}
+	got := col.StageOrder()
+	if !slices.Equal(got, want) {
+		t.Fatalf("detail spans = %v, want %v", got, want)
+	}
+}
+
 func TestViolationStrings(t *testing.T) {
 	kinds := []ViolationKind{SpacingViolation, AngleViolation, TurnDistViolation}
 	for _, k := range kinds {
@@ -292,7 +307,7 @@ func TestViolationStrings(t *testing.T) {
 
 func TestStraightLength(t *testing.T) {
 	r, gres, _ := pipeline(t, "dense1", Options{})
-	d := &Detailer{G: r.G, R: r, Opt: Options{}.withDefaults(r.G.Design.Rules.Pitch()), guides: gres.Guides}
+	d := &Detailer{G: r.G, R: r, Opt: Options{}, guides: gres.Guides}
 	if err := d.buildChains(gres.Guides); err != nil {
 		t.Fatal(err)
 	}

@@ -26,13 +26,13 @@ import (
 // circle at the violating point, replace the straight segment by the two
 // tangents through source and target, iterate.
 //
-// Jobs are prepared once per run: access points are frozen after the DP
-// adjustment, so passage endpoints, stub inner ends, corner order, corner
-// discs and access-point obstacles are all invariant across retry attempts
-// and live on the job. Each job also owns the scratch buffers its tile
-// routing mutates (fit/full polylines, routed list, per-passage route
-// buffers); a job is executed by exactly one worker at a time, so warm
-// attempts run without growing the heap.
+// Fit routing runs once, at the true design rules. Jobs are prepared before
+// it: access points are frozen after the DP adjustment, so passage
+// endpoints, stub inner ends, corner order, corner discs and access-point
+// obstacles are fixed and live on the job. Each job also owns the scratch
+// buffers its tile routing mutates (fit/full polylines, routed list); a job
+// is executed by exactly one worker at a time, so once those buffers have
+// grown, routing the tile again runs without touching the heap.
 
 // tilePassage is one chain hop to be realized inside a tile.
 type tilePassage struct {
@@ -48,8 +48,7 @@ type tilePassage struct {
 	a, b   geom.Point
 	ia, ib geom.Point
 	ref    geom.Point
-	// route is the passage's output polyline — a buffer reused across
-	// retry attempts, read by assemble after the final attempt.
+	// route is the passage's output polyline, read by assemble.
 	route  geom.Polyline
 	failed bool
 }
@@ -145,9 +144,9 @@ func (d *Detailer) hopAt(net, i int) geom.Polyline {
 	return d.hopPl[d.hopOff[net]+int32(i)]
 }
 
-// prepTileJob computes everything about a job that does not change across
-// retry attempts: passage endpoints and processing order, corner discs,
-// access-point obstacles, stub inner ends and reference points.
+// prepTileJob computes everything about a job that tile routing only reads:
+// passage endpoints and processing order, corner discs, access-point
+// obstacles, stub inner ends and reference points.
 func (d *Detailer) prepTileJob(job *tileJob) {
 	tile := d.G.TileOf(job.key.layer, job.key.tri)
 	mesh := d.G.Layers[job.key.layer].Mesh
@@ -239,14 +238,16 @@ func (d *Detailer) prepTileJob(job *tileJob) {
 	}
 }
 
+// maxFitIters bounds the tangent-construction iterations per passage.
+const maxFitIters = 48
+
 // tileChunk is the number of consecutive tile jobs one pool unit routes.
 const tileChunk = 16
 
 // buildTileUnits carves the tile jobs into fixed-size chunks, one pool unit
-// each, built once per run: every routing attempt reuses them, so the units
-// cost the same allocations at every pool size and none on warm attempts.
-// The units read the attempt's context and clearance scale from the
-// Detailer (routeTiles sets them before running the pool).
+// each, so the units cost the same allocations at every pool size. The
+// units read the routing context from the Detailer (routeTiles sets it
+// before running the pool).
 func (d *Detailer) buildTileUnits() {
 	d.tileUnits = d.tileUnits[:0]
 	for lo := 0; lo < len(d.tileJobs); lo += tileChunk {
@@ -254,7 +255,7 @@ func (d *Detailer) buildTileUnits() {
 		d.tileUnits = append(d.tileUnits, func() struct{} {
 			for _, job := range jobs {
 				if !obs.Stopped(d.tileCtx) {
-					d.routeOneTile(job, d.tileScale)
+					d.routeOneTile(job)
 				}
 			}
 			return struct{}{}
@@ -263,38 +264,30 @@ func (d *Detailer) buildTileUnits() {
 }
 
 // routeTiles performs tile routing over all tiles and stores the resulting
-// polylines into the flat hop index, returning the failed passages. The
-// scale parameter multiplies every pairwise clearance (>1 on retries).
-// Cancelling ctx stops between tiles; unreached passages keep empty routes,
-// which assemble replaces with straight hops.
-func (d *Detailer) routeTiles(ctx context.Context, scale float64) []*tilePassage {
-	for _, job := range d.tileJobs {
-		for _, p := range job.passages {
-			p.route = p.route[:0]
-			p.failed = false
-		}
-	}
+// polylines into the flat hop index, returning the number of failed
+// passages. Cancelling ctx stops between tiles; unreached passages keep
+// empty routes, which assemble replaces with straight hops.
+func (d *Detailer) routeTiles(ctx context.Context) int {
 	// routeOneTile touches only its own job, and the shared Detailer state
 	// it reads — chains, access points, graph, rules — is frozen during
 	// tile routing, so the tile chunks fan out freely across the pool. The
 	// merge below walks the jobs in their canonical order, making the hop
-	// index contents and the failure list independent of the pool size; a
+	// index contents and the failure count independent of the pool size; a
 	// cancelled context skips un-started tiles, whose passages keep empty
 	// routes.
-	d.tileCtx, d.tileScale = ctx, scale
+	d.tileCtx = ctx
 	pool.Run(d.tileUnits, d.Opt.workers())
 	d.tileCtx = nil
 
-	failures := d.failBuf[:0]
+	failures := 0
 	for _, job := range d.tileJobs {
 		for _, p := range job.passages {
 			d.hopPl[d.hopOff[p.net]+int32(p.chainIdx)] = p.route
 			if p.failed {
-				failures = append(failures, p)
+				failures++
 			}
 		}
 	}
-	d.failBuf = failures
 	return failures
 }
 
@@ -306,10 +299,11 @@ func (d *Detailer) guideOf(net int) *global.Guide {
 // routeOneTile routes all passages of one tile into their route buffers.
 //
 //rdl:noalloc
-func (d *Detailer) routeOneTile(job *tileJob, scale float64) {
+func (d *Detailer) routeOneTile(job *tileJob) {
 	routed := job.routed[:0]
 	for _, p := range job.passages {
-		mid := d.fitRoute(job, p, routed, scale)
+		mid, ok := d.fitRoute(job, p, routed)
+		p.failed = !ok
 		full := job.fullBuf[:0]
 		if !p.ia.ApproxEq(p.a) {
 			full = append(full, p.a)
@@ -387,16 +381,16 @@ func (d *Detailer) refPoint(tile *rgraph.Tile, mesh *dt.Mesh, p *tilePassage) ge
 // fitRoute builds the polyline for one passage between the stub inner ends
 // in the job's fit buffer, iteratively resolving spacing violations against
 // previously routed passages of other nets and the corner discs (Fig. 12
-// construction). An unresolvable violation marks the passage failed. The
+// construction). It reports false when a violation is left unresolved. The
 // returned polyline aliases the job's fit buffer; the caller copies it out.
 //
 //rdl:noalloc
-func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassage, scale float64) geom.Polyline {
+func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassage) (geom.Polyline, bool) {
 	a, b, ref := self.ia, self.ib, self.ref
 	route := append(job.fitBuf[:0], a, b)
 	const slack = 1e-9
 	selfHalf := d.G.Design.WidthOf(self.net) / 2
-	for iter := 0; iter < d.Opt.MaxFitIters; iter++ {
+	for iter := 0; iter < maxFitIters; iter++ {
 		found, fixed := false, false
 		for si := 0; si+1 < len(route) && !fixed; si++ {
 			seg := geom.Seg(route[si], route[si+1])
@@ -405,7 +399,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				if disc.C.ApproxEq(a) || disc.C.ApproxEq(b) {
 					continue // the passage's own terminal via/pin
 				}
-				eff := geom.Circ(disc.C, (disc.R+selfHalf)*scale)
+				eff := geom.Circ(disc.C, disc.R+selfHalf)
 				if !eff.IntersectSegment(seg) {
 					continue
 				}
@@ -423,7 +417,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				if d.G.Design.SameGroup(ob.net, self.net) {
 					continue
 				}
-				clear := d.G.Design.Clearance(self.net, ob.net) * scale
+				clear := d.G.Design.Clearance(self.net, ob.net)
 				for _, pt := range ob.pts {
 					disc := geom.Circ(pt, clear)
 					if !disc.IntersectSegment(seg) {
@@ -448,7 +442,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				if len(other.route) < 2 || d.G.Design.SameGroup(other.net, self.net) {
 					continue
 				}
-				clear := d.G.Design.Clearance(self.net, other.net) * scale
+				clear := d.G.Design.Clearance(self.net, other.net)
 				dist, pc := other.route.DistToSegment(seg)
 				if dist >= clear-slack {
 					continue
@@ -460,21 +454,16 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				}
 			}
 		}
-		if !found {
+		if !found || !fixed {
+			// Either the route is clean, or a violation exists that the
+			// tangent construction cannot clear (an endpoint sits inside the
+			// constraint circle).
 			job.fitBuf = route
-			return route.SimplifyInPlace()
-		}
-		if !fixed {
-			// A violation exists but the tangent construction cannot clear
-			// it (an endpoint sits inside the constraint circle).
-			self.failed = true
-			job.fitBuf = route
-			return route.SimplifyInPlace()
+			return route.SimplifyInPlace(), !found
 		}
 	}
-	self.failed = true
 	job.fitBuf = route
-	return route.SimplifyInPlace()
+	return route.SimplifyInPlace(), false
 }
 
 // resolveViolation replaces segment si of the route with the two tangents of

@@ -22,11 +22,11 @@ var golden = []struct {
 	maxViaWire  int // hard via-wire spacing findings of the verifier
 	routability float64
 }{
-	{name: "dense1", wirelength: 18740, maxDRC: 34, maxVias: 32, maxViaWire: 0, routability: 1},
-	{name: "dense2", wirelength: 51742, maxDRC: 48, maxVias: 52, maxViaWire: 0, routability: 1},
-	{name: "dense3", wirelength: 79930, maxDRC: 39, maxVias: 102, maxViaWire: 1, routability: 1},
-	{name: "dense4", wirelength: 120131, maxDRC: 130, maxVias: 204, maxViaWire: 0, routability: 1},
-	{name: "dense5", wirelength: 321335, maxDRC: 548, maxVias: 542, maxViaWire: 5, routability: 1},
+	{name: "dense1", wirelength: 18740, maxDRC: 29, maxVias: 32, maxViaWire: 0, routability: 1},
+	{name: "dense2", wirelength: 51742, maxDRC: 38, maxVias: 52, maxViaWire: 0, routability: 1},
+	{name: "dense3", wirelength: 79930, maxDRC: 36, maxVias: 102, maxViaWire: 0, routability: 1},
+	{name: "dense4", wirelength: 120131, maxDRC: 120, maxVias: 204, maxViaWire: 0, routability: 1},
+	{name: "dense5", wirelength: 321335, maxDRC: 488, maxVias: 542, maxViaWire: 4, routability: 1},
 }
 
 func TestGoldenMetrics(t *testing.T) {

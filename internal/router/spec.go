@@ -110,16 +110,13 @@ type GlobalSpec struct {
 	EdgeUsePerNet             int     `json:"edge_use_per_net"`
 }
 
-// DetailSpec mirrors detail.Options (minus the recorder). SkipReassign is
-// omitempty so specs predating the layer-reassignment pass keep their exact
-// legacy cache-key bytes.
+// DetailSpec mirrors detail.Options minus the recorder and Workers: the
+// pool size never changes the result, and Parallelism carries the worker
+// budget on the wire. SkipReassign is omitempty so its zero value adds no
+// bytes to the canonical encoding.
 type DetailSpec struct {
-	Candidates   int     `json:"candidates"`
-	MinMovable   float64 `json:"min_movable"`
-	MaxFitIters  int     `json:"max_fit_iters"`
-	Retries      int     `json:"retries"`
-	SkipAdjust   bool    `json:"skip_adjust"`
-	SkipReassign bool    `json:"skip_reassign,omitempty"`
+	SkipAdjust   bool `json:"skip_adjust"`
+	SkipReassign bool `json:"skip_reassign,omitempty"`
 }
 
 // Spec projects the deterministic configuration out of o. Recorders and
@@ -147,10 +144,6 @@ func (o Options) Spec() OptionsSpec {
 			EdgeUsePerNet:             o.Global.EdgeUsePerNet,
 		},
 		Detail: DetailSpec{
-			Candidates:   o.Detail.Candidates,
-			MinMovable:   o.Detail.MinMovable,
-			MaxFitIters:  o.Detail.MaxFitIters,
-			Retries:      o.Detail.Retries,
 			SkipAdjust:   o.Detail.SkipAdjust,
 			SkipReassign: o.Detail.SkipReassign,
 		},
@@ -185,10 +178,6 @@ func (s OptionsSpec) Options() Options {
 			EdgeUsePerNet:             s.Global.EdgeUsePerNet,
 		},
 		Detail: detail.Options{
-			Candidates:   s.Detail.Candidates,
-			MinMovable:   s.Detail.MinMovable,
-			MaxFitIters:  s.Detail.MaxFitIters,
-			Retries:      s.Detail.Retries,
 			SkipAdjust:   s.Detail.SkipAdjust,
 			SkipReassign: s.Detail.SkipReassign,
 		},

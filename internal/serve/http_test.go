@@ -117,6 +117,10 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(e))
 	defer ts.Close()
 
+	dj, err := json.Marshal(testDesign(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -127,6 +131,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown field", `{"design": {}, "optoins": {}}`, http.StatusBadRequest},
 		{"invalid design", `{"design": {"Name": "x"}}`, http.StatusBadRequest},
 		{"bad priority", `{"design": {"Name": "x"}, "priority": "urgent"}`, http.StatusBadRequest},
+		// A valid design with a detail option that no longer exists: fit
+		// routing is one pass at the true rules, so retries are unknown.
+		{"removed detail option", fmt.Sprintf(`{"design": %s, "options": {"detail": {"retries": 2}}}`, dj), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
